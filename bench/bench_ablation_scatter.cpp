@@ -11,6 +11,7 @@ using namespace mlk;
 
 namespace {
 
+template <class Space>
 std::unique_ptr<Simulation> make_system(kk::ScatterMode mode) {
   init_all();
   auto sim = std::make_unique<Simulation>();
@@ -20,9 +21,10 @@ std::unique_ptr<Simulation> make_system(kk::ScatterMode mode) {
   in.line("lattice fcc 0.8442");
   in.line("create_atoms 10 10 10 jitter 0.02 771");
   in.line("mass 1 1.0");
-  in.line("pair_style lj/cut/kk 2.5");
+  in.line(Space::is_device ? "pair_style lj/cut/kk 2.5"
+                           : "pair_style lj/cut/kk/host 2.5");
   in.line("pair_coeff * * 1.0 1.0");
-  auto* pair = dynamic_cast<PairLJCutKokkos<kk::Device>*>(sim->pair.get());
+  auto* pair = dynamic_cast<PairLJCutKokkos<Space>*>(sim->pair.get());
   pair->set_neighbor_mode(NeighStyle::Half, true);
   pair->set_scatter_mode(mode);
   sim->setup();
@@ -30,7 +32,11 @@ std::unique_ptr<Simulation> make_system(kk::ScatterMode mode) {
 }
 
 void BM_scatter(benchmark::State& state, kk::ScatterMode mode) {
-  auto sim = make_system(mode);
+  // Sequential is plain `+=`, legal only on the serial Host space, so that
+  // case runs through lj/cut/kk/host; the others through lj/cut/kk.
+  auto sim = mode == kk::ScatterMode::Sequential
+                 ? make_system<kk::Host>(mode)
+                 : make_system<kk::Device>(mode);
   for (auto _ : state) {
     sim->compute_forces(false);
     benchmark::DoNotOptimize(sim->atom.k_f.h_view.data());

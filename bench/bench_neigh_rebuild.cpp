@@ -1,18 +1,19 @@
-// bench_neigh_rebuild — compares the two device fill strategies of the
-// neighbor build (docs/NEIGHBOR.md) across successive rebuilds of an
-// evolving melt:
-//   * count-then-fill — the two-traversal baseline: a count pass sizes the
-//     table exactly, then a second pass fills it;
-//   * resize-and-retry — the production single-pass path: fill directly into
+// bench_neigh_rebuild — the Device neighbor build (docs/NEIGHBOR.md) across
+// successive rebuilds of an evolving melt, against a count-then-fill
+// baseline:
+//   * resize-and-retry — the engine's single-pass build: fill directly into
 //     a guessed-capacity table, detect overflow with a max-reduction, and
 //     regrow + repeat only on overflow. The capacity high-water mark
 //     persists across rebuilds, so retries amortize to zero at steady state
-//     and each rebuild is one traversal instead of two.
+//     and each rebuild is one traversal;
+//   * count-then-fill — the same builder with maxneighs_hint reset to 1
+//     before every build: a first pass that only counts (every row
+//     overflows), a regrow, and a second pass that fills — two traversals.
 //
-// All columns are *measured* from the real builders running on this CPU; the
-// same atom configuration is handed to both strategies at every rebuild.
-// The exit status checks the acceptance criterion: at most one retry total
-// after the warm-up (first) rebuild.
+// All columns are *measured* from the real builder running on this CPU; the
+// same atom configuration is handed to both at every rebuild. The exit
+// status checks the acceptance criterion: at most one retry total after the
+// warm-up (first) rebuild.
 //
 // Usage: bench_neigh_rebuild [cells] [nrebuilds] [steps_between]
 #include <cstdio>
@@ -20,7 +21,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "engine/neighbor_kokkos.hpp"
 
 int main(int argc, char** argv) {
   bench::Metrics metrics("bench_neigh_rebuild");
@@ -44,13 +44,13 @@ int main(int argc, char** argv) {
   in.line("fix 1 all nve");
   in.line("run 0");  // setup: ghosts + initial list
 
-  mlk::NeighborKokkos retry, twopass;
-  for (mlk::NeighborKokkos* nk : {&retry, &twopass}) {
-    nk->cutoff = 2.5;
-    nk->skin = sim.neighbor.skin;
-    nk->style = mlk::NeighStyle::Full;
+  mlk::Neighbor retry, twopass;
+  for (mlk::Neighbor* nb : {&retry, &twopass}) {
+    nb->cutoff = 2.5;
+    nb->skin = sim.neighbor.skin;
+    nb->style = mlk::NeighStyle::Full;
+    nb->execution_space = mlk::ExecSpaceKind::Device;
   }
-  twopass.strategy = mlk::DeviceFillStrategy::CountThenFill;
 
   mlk::perf::banner("Neighbor rebuild: count-then-fill vs resize-and-retry",
                     "all columns measured");
@@ -81,7 +81,11 @@ int main(int argc, char** argv) {
     const double steady = bench::time_seconds(
         [&] { retry.build(sim.atom, sim.domain); }, 5);
     const double two = bench::time_seconds(
-        [&] { twopass.build(sim.atom, sim.domain); }, 5);
+        [&] {
+          twopass.maxneighs_hint = 1;
+          twopass.build(sim.atom, sim.domain);
+        },
+        5);
 
     t.add_row({std::to_string(r), mlk::perf::Table::num(two * 1e3, 3),
                mlk::perf::Table::num(cold * 1e3, 3),

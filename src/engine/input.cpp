@@ -127,21 +127,7 @@ void Input::execute(const std::vector<std::string>& words) {
     sim_.pair->ntypes_hint = sim_.atom.ntypes;
     sim_.pair->coeff({words.begin() + 1, words.end()});
   } else if (cmd == "neighbor") {
-    // neighbor <skin> bin — set the skin; or neighbor style host|device —
-    // select the list build path (docs/NEIGHBOR.md). MLK_NEIGH env is the
-    // script-free equivalent of the latter.
-    if (arg(1) == "style") {
-      const std::string& which = arg(2);
-      if (which == "host")
-        sim_.neighbor.build_path = NeighBuildPath::Host;
-      else if (which == "device")
-        sim_.neighbor.build_path = NeighBuildPath::Device;
-      else
-        fatal("neighbor style: expected 'host' or 'device', got '" + which +
-              "'");
-    } else {
-      sim_.neighbor.skin = to_double(arg(1));
-    }
+    sim_.neighbor.skin = to_double(arg(1));
   } else if (cmd == "neigh_modify") {
     for (std::size_t i = 1; i + 1 < words.size(); i += 2) {
       if (words[i] == "every")

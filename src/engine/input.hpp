@@ -13,9 +13,8 @@
 //   velocity all scale <T>
 //   pair_style <style> [args...]
 //   pair_coeff <args...>
-//   neighbor <skin> bin
-//   neighbor style <host|device>         (list build path, docs/NEIGHBOR.md;
-//                                         MLK_NEIGH env overrides)
+//   neighbor <skin> bin                  (the list is built in the pair
+//                                         style's space, docs/NEIGHBOR.md)
 //   neigh_modify [every N] [delay N] [check yes|no]
 //   newton <on|off>
 //   overlap <on|off>                     (comm/compute overlap, see

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "engine/neighbor_kokkos.hpp"
+#include "kokkos/core.hpp"
 #include "util/error.hpp"
 
 namespace mlk {
-
-Neighbor::Neighbor() = default;
-Neighbor::~Neighbor() = default;
 
 bigint NeighborList::total_pairs() const {
   auto& num = const_cast<NeighborList*>(this)->k_numneigh;
@@ -50,35 +47,18 @@ void BinGrid::build(const Atom& atom, const Domain& domain, double cutghost) {
   }
 }
 
-NeighborKokkos& Neighbor::device_builder() {
-  if (!device_builder_) device_builder_ = std::make_unique<NeighborKokkos>();
-  return *device_builder_;
-}
-
-bigint Neighbor::nretries() const {
-  return device_builder_ ? device_builder_->nretries : 0;
-}
-
 void Neighbor::build(const Atom& atom, const Domain& domain) {
-  if (build_path == NeighBuildPath::Device) {
-    NeighborKokkos& nk = device_builder();
-    nk.cutoff = cutoff;
-    nk.skin = skin;
-    nk.style = style;
-    nk.newton = newton;
-    nk.ghost_rows = ghost_rows;
-    nk.build_into(list, atom, domain);
-    ++nbuilds;
-    if (canonical) canonicalize_rows(atom);
-    return;
-  }
-  build_host(atom, domain);
+  if (execution_space == ExecSpaceKind::Device)
+    build_in<kk::Device>(atom, domain);
+  else
+    build_in<kk::Host>(atom, domain);
+  ++nbuilds;
   if (canonical) canonicalize_rows(atom);
 }
 
 void Neighbor::canonicalize_rows(const Atom& atom) {
-  // Both build paths emit bitwise-identical tables, so canonicalizing after
-  // either yields the same rows. Sorting is by (tag, x, y, z) of the
+  // Host and Device builds emit bitwise-identical tables, so canonicalizing
+  // after either yields the same rows. Sorting is by (tag, x, y, z) of the
   // neighbor: tags are storage-order invariant, and the coordinates break
   // ties between distinct periodic images of the same tag (their positions
   // differ by box lengths). The interior/boundary partition is unaffected —
@@ -109,101 +89,171 @@ void Neighbor::canonicalize_rows(const Atom& atom) {
   list.k_neighbors.modify<kk::Host>();
 }
 
-void Neighbor::build_host(const Atom& atom, const Domain& domain) {
+template <class Space>
+void Neighbor::build_in(const Atom& atom, const Domain& domain) {
   require(cutoff > 0.0, "neighbor cutoff not set");
+  require(!ghost_rows || style == NeighStyle::Full,
+          "ghost rows require a full neighbor list");
   const double cutneigh = cutghost();
   const double cutsq = cutneigh * cutneigh;
 
+  // Host-side binning (cheap, O(N)) staged into views of the build space.
   BinGrid grid;
   grid.build(atom, domain, cutneigh);
+  int max_per_bin = 1;
+  for (const auto& b : grid.bins)
+    max_per_bin = std::max(max_per_bin, int(b.size()));
+  const std::size_t nbins = grid.bins.size();
 
-  const auto x = atom.k_x.h_view;
+  kk::View2D<int, Space> bin_atoms("neigh::bin_atoms", nbins,
+                                   std::size_t(max_per_bin));
+  kk::View1D<int, Space> bin_count("neigh::bin_count", nbins);
+  for (std::size_t b = 0; b < nbins; ++b) {
+    bin_count(b) = int(grid.bins[b].size());
+    for (std::size_t k = 0; k < grid.bins[b].size(); ++k)
+      bin_atoms(b, k) = grid.bins[b][k];
+  }
+
+  const_cast<Atom&>(atom).sync<Space>(X_MASK);
+  auto x = atom.k_x.view<Space>();
   const localint nlocal = atom.nlocal;
-  require(!ghost_rows || style == NeighStyle::Full,
-          "ghost rows require a full neighbor list");
   const localint nrows = ghost_rows ? atom.nall() : nlocal;
   const PairAcceptance accept(nlocal, style, newton);
+
+  const int nbx = grid.nbin[0], nby = grid.nbin[1], nbz = grid.nbin[2];
+  const double glo0 = grid.lo[0], glo1 = grid.lo[1], glo2 = grid.lo[2];
+  const double bs0 = grid.binsize[0], bs1 = grid.binsize[1],
+               bs2 = grid.binsize[2];
+
+  // Stencil walk: bins in (bx, by, bz) ascending order, atoms in bin
+  // insertion order. The traversal does not depend on Space, so a Host and
+  // a Device build list the same neighbors in the same order in every row.
+  auto visit = [=](localint i, auto&& fn) {
+    const double xi0 = x(std::size_t(i), 0);
+    const double xi1 = x(std::size_t(i), 1);
+    const double xi2 = x(std::size_t(i), 2);
+    int bc0 = std::clamp(int((xi0 - glo0) / bs0), 0, nbx - 1);
+    int bc1 = std::clamp(int((xi1 - glo1) / bs1), 0, nby - 1);
+    int bc2 = std::clamp(int((xi2 - glo2) / bs2), 0, nbz - 1);
+    for (int bx = std::max(0, bc0 - 1); bx <= std::min(nbx - 1, bc0 + 1); ++bx)
+      for (int by = std::max(0, bc1 - 1); by <= std::min(nby - 1, bc1 + 1);
+           ++by)
+        for (int bz = std::max(0, bc2 - 1); bz <= std::min(nbz - 1, bc2 + 1);
+             ++bz) {
+          const std::size_t bin = std::size_t((bx * nby + by) * nbz + bz);
+          const int cnt = bin_count(bin);
+          for (int k = 0; k < cnt; ++k) {
+            const int j = bin_atoms(bin, std::size_t(k));
+            if (!accept(x, localint(i), localint(j))) continue;
+            const double dx = xi0 - x(std::size_t(j), 0);
+            const double dy = xi1 - x(std::size_t(j), 1);
+            const double dz = xi2 - x(std::size_t(j), 2);
+            if (dx * dx + dy * dy + dz * dz <= cutsq) fn(j);
+          }
+        }
+  };
 
   list.style = style;
   list.newton = newton;
   list.inum = nlocal;
   list.gnum = nrows - nlocal;
 
-  // Pass 1: count per-atom neighbors.
-  std::vector<int> counts(std::size_t(std::max<localint>(nrows, 1)), 0);
-  auto for_candidates = [&](localint i, auto&& fn) {
-    const double xi[3] = {x(std::size_t(i), 0), x(std::size_t(i), 1),
-                          x(std::size_t(i), 2)};
-    int bc[3];
-    for (int d = 0; d < 3; ++d) {
-      bc[d] = std::clamp(int((xi[d] - grid.lo[d]) / grid.binsize[d]), 0,
-                         grid.nbin[d] - 1);
-    }
-    for (int bx = std::max(0, bc[0] - 1);
-         bx <= std::min(grid.nbin[0] - 1, bc[0] + 1); ++bx)
-      for (int by = std::max(0, bc[1] - 1);
-           by <= std::min(grid.nbin[1] - 1, bc[1] + 1); ++by)
-        for (int bz = std::max(0, bc[2] - 1);
-             bz <= std::min(grid.nbin[2] - 1, bc[2] + 1); ++bz)
-          for (int j : grid.bins[std::size_t(grid.index(bx, by, bz))]) {
-            if (!accept(x, i, j)) continue;
-            const double dx = xi[0] - x(std::size_t(j), 0);
-            const double dy = xi[1] - x(std::size_t(j), 1);
-            const double dz = xi[2] - x(std::size_t(j), 2);
-            if (dx * dx + dy * dy + dz * dz <= cutsq) fn(j);
-          }
-  };
+  const std::size_t nrows_alloc = std::size_t(std::max<localint>(nrows, 1));
+  list.k_numneigh.realloc(nrows_alloc);
+  auto num = list.k_numneigh.view<Space>();
 
-  int maxn = 0;
-  for (localint i = 0; i < nrows; ++i) {
-    int c = 0;
-    for_candidates(i, [&](int) { ++c; });
-    counts[std::size_t(i)] = c;
-    maxn = std::max(maxn, c);
+  // Resize-and-retry: one traversal fills rows into a guessed-capacity
+  // table while counting the *full* row length; writes past capacity are
+  // dropped. A max-reduction then detects overflow, and only an overflowing
+  // build regrows the table (with headroom) and repeats the pass. The
+  // high-water capacity survives in maxneighs_hint, so repeated rebuilds of
+  // a quasi-stationary system never retry.
+  int capacity = maxneighs_hint;
+  if (capacity <= 0) {
+    // Cold start: ideal-gas estimate from the local density of the
+    // extended (sub-box + ghost margin) region, plus headroom.
+    double vol = 1.0;
+    for (int d = 0; d < 3; ++d) vol *= grid.hi[d] - grid.lo[d];
+    const double rho = vol > 0.0 ? double(atom.nall()) / vol : 0.0;
+    constexpr double kPi = 3.14159265358979323846;
+    const double est = rho * 4.0 / 3.0 * kPi * cutneigh * cutneigh * cutneigh;
+    capacity = std::max(8, int(est * 1.2) + 1);
   }
-  list.maxneighs = maxn;
-
-  // Pass 2: fill the 2-D table.
-  list.k_neighbors.realloc(std::size_t(std::max<localint>(nrows, 1)),
-                           std::size_t(std::max(maxn, 1)));
-  list.k_numneigh.realloc(std::size_t(std::max<localint>(nrows, 1)));
-  auto neigh = list.k_neighbors.h_view;
-  auto num = list.k_numneigh.h_view;
-  for (localint i = 0; i < nrows; ++i) {
-    int c = 0;
-    for_candidates(i, [&](int j) { neigh(std::size_t(i), std::size_t(c++)) = j; });
-    num(std::size_t(i)) = c;
+  for (;;) {
+    list.k_neighbors.realloc(nrows_alloc, std::size_t(capacity));
+    auto neigh = list.k_neighbors.view<Space>();
+    const int cap = capacity;
+    kk::parallel_for("Neighbor::fill",
+                     kk::RangePolicy<Space>(0, std::size_t(nrows)),
+                     [=](std::size_t i) {
+                       int c = 0;
+                       visit(localint(i), [&](int j) {
+                         if (c < cap) neigh(i, std::size_t(c)) = j;
+                         ++c;
+                       });
+                       num(i) = c;  // full count: overflow detector
+                     });
+    int maxn = 0;
+    kk::parallel_reduce_impl(
+        "Neighbor::overflow_check",
+        kk::RangePolicy<Space>(0, std::size_t(nrows)),
+        [=](std::size_t i, int& m) {
+          if (num(i) > m) m = num(i);
+        },
+        kk::Max<int>(maxn));
+    if (maxn <= capacity) break;
+    ++nretries;
+    // ~12% headroom so steady-state density fluctuations stay under the
+    // high-water mark instead of forcing a retry every few rebuilds.
+    capacity = maxn + (maxn >> 3) + 1;
   }
-  list.k_neighbors.modify<kk::Host>();
-  list.k_numneigh.modify<kk::Host>();
+  list.maxneighs = capacity;
+  maxneighs_hint = capacity;
+  list.k_neighbors.modify<Space>();
+  list.k_numneigh.modify<Space>();
 
-  // Pass 3: partition owned rows into interior (no ghost neighbor) and
-  // boundary, enabling the overlapped force phase to start interior work
-  // before the halo exchange lands.
-  list.ninterior = 0;
-  list.nboundary = 0;
-  list.k_interior.realloc(std::size_t(std::max<localint>(nlocal, 1)));
-  list.k_boundary.realloc(std::size_t(std::max<localint>(nlocal, 1)));
-  auto interior = list.k_interior.h_view;
-  auto boundary = list.k_boundary.h_view;
-  for (localint i = 0; i < nlocal; ++i) {
-    bool ghost_free = true;
-    const int nn = num(std::size_t(i));
-    for (int jj = 0; jj < nn; ++jj) {
-      if (neigh(std::size_t(i), std::size_t(jj)) >= nlocal) {
-        ghost_free = false;
-        break;
-      }
-    }
-    if (ghost_free)
-      interior(std::size_t(list.ninterior++)) = i;
-    else
-      boundary(std::size_t(list.nboundary++)) = i;
-  }
-  list.k_interior.modify<kk::Host>();
-  list.k_boundary.modify<kk::Host>();
-
-  ++nbuilds;
+  // Interior/boundary partition of the owned rows, enabling the overlapped
+  // force phase to start interior work before the halo exchange lands: flag
+  // ghost-free rows, then one parallel_scan packs interior rows (scan rank)
+  // and boundary rows (row index minus scan rank), both in ascending order.
+  const std::size_t nloc_alloc = std::size_t(std::max<localint>(nlocal, 1));
+  list.k_interior.realloc(nloc_alloc);
+  list.k_boundary.realloc(nloc_alloc);
+  auto neigh = list.k_neighbors.view<Space>();
+  kk::View1D<int, Space> ghost_free("neigh::ghost_free", nloc_alloc);
+  kk::parallel_for("Neighbor::flag_interior",
+                   kk::RangePolicy<Space>(0, std::size_t(nlocal)),
+                   [=](std::size_t i) {
+                     int flag = 1;
+                     const int nn = num(i);
+                     for (int jj = 0; jj < nn; ++jj) {
+                       if (neigh(i, std::size_t(jj)) >= nlocal) {
+                         flag = 0;
+                         break;
+                       }
+                     }
+                     ghost_free(i) = flag;
+                   });
+  auto interior = list.k_interior.view<Space>();
+  auto boundary = list.k_boundary.view<Space>();
+  int ninterior = 0;
+  kk::parallel_scan(
+      "Neighbor::partition", kk::RangePolicy<Space>(0, std::size_t(nlocal)),
+      [=](std::size_t i, int& update, bool final) {
+        const int f = ghost_free(i);
+        if (final) {
+          if (f)
+            interior(std::size_t(update)) = int(i);
+          else
+            boundary(i - std::size_t(update)) = int(i);
+        }
+        update += f;
+      },
+      ninterior);
+  list.ninterior = ninterior;
+  list.nboundary = nlocal - ninterior;
+  list.k_interior.modify<Space>();
+  list.k_boundary.modify<Space>();
 }
 
 bool Neighbor::wants_rebuild(bigint step, const Atom& atom) const {
@@ -272,8 +322,8 @@ NeighborList brute_force_list(const Atom& atom, const Domain& /*domain*/,
         rows[std::size_t(i)].push_back(j);
     }
   }
-  // maxneighs is the true max row length (host-build semantics: no floor);
-  // the table itself still allocates at least one column.
+  // maxneighs is the true max row length (exact fit, no floor); the table
+  // itself still allocates at least one column.
   int maxn = 0;
   for (const auto& r : rows) maxn = std::max(maxn, int(r.size()));
   out.maxneighs = maxn;

@@ -8,19 +8,17 @@
 //  * full — every atom lists all neighbors; forces are computed redundantly
 //    for both partners but no write conflicts or reverse comm occur.
 //
-// Two *build paths* produce the same list (docs/NEIGHBOR.md): the serial
-// host build (count-then-fill) and the device-parallel build
-// (single-pass fill with resize-and-retry, src/engine/neighbor_kokkos.*).
-// `Neighbor::build` routes by `build_path`; both paths share the
-// PairAcceptance functor below so their half-list tie-break can never
-// diverge, and both produce bitwise-identical tables.
+// One builder (docs/NEIGHBOR.md): a single-pass resize-and-retry fill,
+// templated on the execution space and run in the space of the pair style
+// that reads the list, so the table is written where it is consumed. The
+// PairAcceptance functor below is shared with the brute-force reference
+// builder, so the half-list tie-break is defined in exactly one place.
 //
 // Storage is the 2-D neighbor table of Appendix B: a (natoms x maxneighs)
 // DualView plus a per-atom count, so no flattened index can overflow 32 bits.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "engine/atom.hpp"
@@ -31,18 +29,16 @@ namespace mlk {
 
 enum class NeighStyle { Half, Full };
 
-///// Which builder `Neighbor::build` dispatches to: the serial host build or
-/// the device-parallel NeighborKokkos build. Selected by the
-/// `neighbor style host|device` input command or the MLK_NEIGH env var.
-enum class NeighBuildPath { Host, Device };
+/// Execution space of a style's kernels: Host for plain styles and /kk/host
+/// variants, Device for /kk styles. The neighbor list is built in the space
+/// of the pair style that reads it.
+enum class ExecSpaceKind { Host, Device };
 
-class NeighborKokkos;
-
-/// The pair-acceptance rule, shared verbatim by the host binned build, the
-/// device binned build, and the brute-force reference builder so the
-/// half-list tie-break is defined in exactly one place and the builders can
-/// never silently diverge. Templated on the x view so it inlines into both
-/// host (LayoutRight) and device (LayoutLeft) kernels.
+/// The pair-acceptance rule, shared verbatim by the binned build (in either
+/// space) and the brute-force reference builder so the half-list tie-break
+/// is defined in exactly one place and the builders can never silently
+/// diverge. Templated on the x view so it inlines into both host
+/// (LayoutRight) and device (LayoutLeft) kernels.
 struct PairAcceptance {
   localint nlocal = 0;
   bool full = true;
@@ -85,15 +81,15 @@ struct NeighborList {
   // atom is *interior* when every neighbor index is < nlocal, i.e. its force
   // row is independent of ghost positions and can be computed before (or
   // while) the halo exchange updates ghosts. All remaining owned atoms are
-  // *boundary*. ninterior + nboundary == inum always — both build paths
-  // populate the partition (tier-1 enforced).
+  // *boundary*. ninterior + nboundary == inum always — every build
+  // populates the partition (tier-1 enforced).
   kk::DualView<int, 1> k_interior;  // (ninterior) owned rows, ghost-free
   kk::DualView<int, 1> k_boundary;  // (nboundary) owned rows touching ghosts
   localint ninterior = 0;
   localint nboundary = 0;
 
   /// Total number of stored pairs (bigint: can exceed 2^31 at scale).
-  /// Syncs the counts to host first (the device build writes device-side).
+  /// Syncs the counts to host first (a Device build writes device-side).
   bigint total_pairs() const;
   double avg_neighbors() const;
 };
@@ -114,9 +110,6 @@ struct BinGrid {
 
 class Neighbor {
  public:
-  Neighbor();
-  ~Neighbor();
-
   double cutoff = 0.0;  // force cutoff (max over pair styles)
   double skin = 0.3;
   NeighStyle style = NeighStyle::Full;
@@ -125,9 +118,10 @@ class Neighbor {
   int delay = 0;      // never rebuild before N steps since last build
   bool check = true;  // only rebuild if an atom moved > skin/2
 
-  /// Host (serial count-then-fill) or Device (parallel resize-and-retry)
-  /// build; both populate `list` identically (docs/NEIGHBOR.md).
-  NeighBuildPath build_path = NeighBuildPath::Host;
+  /// Space the list is built in: Simulation::setup copies the pair style's
+  /// execution_space, so a /kk style's list never crosses host<->device.
+  /// Both spaces produce bitwise-identical rows (docs/NEIGHBOR.md).
+  ExecSpaceKind execution_space = ExecSpaceKind::Host;
 
   /// Also build rows for ghost atoms (full style only). Needed by bonded
   /// potentials (ReaxFF torsions walk bonds of bonded ghosts). Rows of
@@ -148,8 +142,9 @@ class Neighbor {
 
   double cutghost() const { return cutoff + skin; }
 
-  /// (Re)build the list for the current atom/ghost configuration, routed
-  /// through the host or device builder per `build_path`.
+  /// (Re)build the list for the current atom/ghost configuration in
+  /// `execution_space`. On return the list's views in that space are
+  /// current and marked modified; consumers in the other space sync.
   void build(const Atom& atom, const Domain& domain);
 
   /// Rebuild decision for `step` (LAMMPS Neighbor::decide): a rebuild is
@@ -171,28 +166,30 @@ class Neighbor {
   /// Record positions at build time (basis for check_distance).
   void store_build_positions(const Atom& atom);
 
-  /// Device builder (created lazily), exposed for benches/tests that want
-  /// to tweak the fill strategy or inspect retry counters.
-  NeighborKokkos& device_builder();
-
-  /// Resize-and-retry overflow count of the device builder (0 on host path).
-  bigint nretries() const;
-
   NeighborList list;
   bigint nbuilds = 0;
   bigint ndanger = 0;       // dangerous builds (see note_dangerous)
   bigint last_build = 0;    // timestep of the last build
+
+  /// Row-capacity high-water mark carried across rebuilds (0 = derive the
+  /// first guess from the local density). Reset to re-measure cold builds.
+  int maxneighs_hint = 0;
+
+  /// Overflow passes across all resize-and-retry builds. After warm-up the
+  /// high-water mark makes further builds retry-free (bench_neigh_rebuild).
+  bigint nretries = 0;
+
  private:
-  void build_host(const Atom& atom, const Domain& domain);
+  template <class Space>
+  void build_in(const Atom& atom, const Domain& domain);
   void canonicalize_rows(const Atom& atom);
 
   std::vector<double> xhold_;  // positions at last build (3*nlocal)
-  std::unique_ptr<NeighborKokkos> device_builder_;
 };
 
 /// Reference O(N^2) list builder used by tests to validate the binned
-/// builds. With `ghost_rows` it also fills rows for ghost atoms and sets
-/// gnum, mirroring the binned builders.
+/// build. With `ghost_rows` it also fills rows for ghost atoms and sets
+/// gnum, mirroring the binned build.
 NeighborList brute_force_list(const Atom& atom, const Domain& domain,
                               double cutoff, NeighStyle style, bool newton,
                               localint nlocal, bool ghost_rows = false);

@@ -23,8 +23,6 @@ namespace mlk {
 class Simulation;
 class PairBatch;  // cross-job fused dispatch (src/pair/pair_batch.hpp)
 
-enum class ExecSpaceKind { Host, Device };
-
 class Pair {
  public:
   virtual ~Pair() = default;

@@ -22,17 +22,6 @@ Simulation::Simulation() {
   // MLK_SORT=<N> mirrors `sort every <N>` (0 = off), so CI smokes can turn
   // the spatial sort on without editing scripts.
   if (const char* s = std::getenv("MLK_SORT")) sorter.every = std::atoi(s);
-  // MLK_NEIGH=host|device mirrors the `neighbor style` input command, so CI
-  // smokes can flip the build path without editing scripts.
-  if (const char* s = std::getenv("MLK_NEIGH")) {
-    const std::string which(s);
-    if (which == "device")
-      neighbor.build_path = NeighBuildPath::Device;
-    else if (which == "host" || which.empty())
-      neighbor.build_path = NeighBuildPath::Host;
-    else
-      fatal("MLK_NEIGH: expected 'host' or 'device', got '" + which + "'");
-  }
 }
 
 Simulation::~Simulation() {
@@ -141,6 +130,7 @@ void Simulation::setup() {
   neighbor.cutoff = pair->cutoff();
   neighbor.style = pair->neigh_style();
   neighbor.ghost_rows = pair->ghost_rows_needed();
+  neighbor.execution_space = pair->execution_space;
   neighbor.newton =
       newton_override >= 0 ? newton_override != 0 : pair->newton();
   comm.cutghost = neighbor.cutghost();
@@ -330,7 +320,7 @@ void Verlet::begin(bigint nsteps) {
   timers_before_ = sim.timers.all();
   nbuilds_before_ = sim.neighbor.nbuilds;
   ndanger_before_ = sim.neighbor.ndanger;
-  nretries_before_ = sim.neighbor.nretries();
+  nretries_before_ = sim.neighbor.nretries;
   loop_timer_.start();
 }
 
@@ -490,8 +480,7 @@ void Verlet::finish() {
   NeighSummary neigh;
   neigh.builds = sim.neighbor.nbuilds - nbuilds_before_;
   neigh.dangerous = sim.neighbor.ndanger - ndanger_before_;
-  neigh.retries = sim.neighbor.nretries() - nretries_before_;
-  neigh.device = sim.neighbor.build_path == NeighBuildPath::Device;
+  neigh.retries = sim.neighbor.nretries - nretries_before_;
 
   // Collective per-rank atom extremes for the imbalance summary line; must
   // run on every rank before breakdown()'s rank-0 print gate.

@@ -80,13 +80,10 @@ void Thermo::breakdown(Simulation& sim, double loop_seconds, bigint nsteps,
   // LAMMPS-style neighbor maintenance summary. Dangerous builds (the
   // distance check fired on the first step every/delay allowed) mean the
   // run computed forces from a stale list — raise `every`/`delay` caution.
-  std::printf("\nNeighbor builds: %lld  dangerous: %lld",
+  std::printf("\nNeighbor builds: %lld  dangerous: %lld  retries: %lld\n",
               static_cast<long long>(neigh.builds),
-              static_cast<long long>(neigh.dangerous));
-  if (neigh.device)
-    std::printf("  device retries: %lld",
-                static_cast<long long>(neigh.retries));
-  std::printf("\n");
+              static_cast<long long>(neigh.dangerous),
+              static_cast<long long>(neigh.retries));
 
   // Per-rank atom imbalance (max/avg nlocal at run end): the load-balance
   // health metric `balance rcb` targets. Only meaningful with > 1 rank, but

@@ -27,8 +27,7 @@ struct ThermoRow {
 struct NeighSummary {
   bigint builds = 0;
   bigint dangerous = 0;  // see Neighbor::note_dangerous
-  bigint retries = 0;    // device resize-and-retry overflows
-  bool device = false;   // built via the device path (retries meaningful)
+  bigint retries = 0;    // resize-and-retry overflow passes
 };
 
 /// End-of-run load-balance summary (docs/DECOMPOSITION.md). The per-rank
@@ -53,7 +52,7 @@ class Thermo {
 
   /// LAMMPS-style end-of-run timing table (Pair/Neigh/Comm/Output/Other:
   /// seconds, % of loop time, per-step average) plus the neighbor-build
-  /// summary (builds / dangerous builds / device retries), printed on rank 0
+  /// summary (builds / dangerous builds / retries), printed on rank 0
   /// after each `run`. `before` holds the TimerSet totals at loop start so
   /// only this run's accumulation is reported.
   void breakdown(Simulation& sim, double loop_seconds, bigint nsteps,

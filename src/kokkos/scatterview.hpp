@@ -5,11 +5,13 @@
 //                  with O(100k) active threads duplication is infeasible),
 //   * Duplicated — one private replica per pool thread, combined by
 //                  contribute() (CPU default, best with modest thread counts),
-//   * Sequential — plain adds (serial host execution).
+//   * Sequential — plain adds; Host only, since Device kernels run on pool
+//                  threads where a plain `+=` races (the constructor throws).
 // The access handle pattern matches Kokkos: create, access() inside the
 // kernel, contribute() after.
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 #include "kokkos/core.hpp"
@@ -36,6 +38,10 @@ class ScatterView {
   explicit ScatterView(target_view target,
                        ScatterMode mode = default_scatter_mode<Space>())
       : target_(target), mode_(mode) {
+    if (Space::is_device && mode_ == ScatterMode::Sequential)
+      throw std::invalid_argument(
+          "ScatterView: Sequential mode is Host-only (Device kernels run "
+          "concurrently)");
     if (mode_ == ScatterMode::Duplicated) {
       const int nrep = ThreadPool::instance().concurrency();
       replicas_.assign(std::size_t(nrep), {});

@@ -7,10 +7,8 @@
 #   tests/run_tier1.sh --profile  # observability smoke: traced melt run,
 #                                 # trace JSON validated with validate_trace
 #   tests/run_tier1.sh --overlap  # overlapped-Verlet smoke: traced melt with
-#                                 # `overlap on`, per-instance tracks required
-#   tests/run_tier1.sh --neigh-device  # device neighbor-build smoke: melt
-#                                 # with MLK_NEIGH=device + overlap on, then
-#                                 # the NeighDevice suite (incl. 2 ranks)
+#                                 # `overlap on` on a device-built list,
+#                                 # per-instance tracks required
 #   tests/run_tier1.sh --server   # batch-server smoke: 4 jobs multiplexed
 #                                 # through the scheduler with cross-job
 #                                 # fusion, then the Server* suite (isolation,
@@ -40,7 +38,6 @@ cmake_args=()
 gtest_filter=""
 profile_smoke=0
 overlap_smoke=0
-neigh_device_smoke=0
 server_smoke=0
 telemetry_smoke=0
 simd_smoke=0
@@ -63,10 +60,6 @@ while [[ $# -gt 0 ]]; do
       ;;
     --overlap)
       overlap_smoke=1
-      shift
-      ;;
-    --neigh-device)
-      neigh_device_smoke=1
       shift
       ;;
     --server)
@@ -118,22 +111,6 @@ elif [[ "$overlap_smoke" == 1 ]]; then
   "$build_dir/tests/validate_trace" --require-instance-tracks \
     "$scratch/melt_overlap.trace.json"
   echo "overlap smoke: OK"
-elif [[ "$neigh_device_smoke" == 1 ]]; then
-  # Run the overlapped melt example with the device neighbor-build path
-  # (MLK_NEIGH=device, docs/NEIGHBOR.md) and tracing on; the trace must still
-  # show the per-instance tracks — the device-built list feeds the same
-  # overlapped force phase. Then the NeighDevice suite checks the device path
-  # end to end: bitwise host-vs-device trajectories, serial and 2 simmpi
-  # ranks, overlap off and on.
-  scratch="$(mktemp -d)"
-  trap 'rm -rf "$scratch"' EXIT
-  (cd "$scratch" &&
-   MLK_NEIGH=device MLK_TRACE="$scratch/melt_neigh_device.trace.json" \
-     "$build_dir/examples/run_script" "$repo/examples/in.melt_overlap")
-  "$build_dir/tests/validate_trace" --require-instance-tracks \
-    "$scratch/melt_neigh_device.trace.json"
-  "$build_dir/tests/minilmp_tests" --gtest_filter='NeighDevice*'
-  echo "neigh-device smoke: OK"
 elif [[ "$server_smoke" == 1 ]]; then
   # Submit 4 jobs through the batch scheduler (server_demo verifies correct,
   # energy-conserving thermo per job and that cross-job fused launches
@@ -190,8 +167,8 @@ elif [[ "$balance_smoke" == 1 ]]; then
   # `sort every 5` + `balance rcb 1.2` armed — end-of-run imbalance
   # breakdown line and the balance.imbalance_ratio counter track — then the
   # randomized decomposition/migration property suites, the bitwise
-  # sort x balance x build-path sweep, and the balance-state restart
-  # round-trip (docs/DECOMPOSITION.md).
+  # sort x balance x ranks sweep, and the balance-state restart round-trip
+  # (docs/DECOMPOSITION.md).
   bash "$repo/tests/balance_smoke.sh" \
     "$build_dir/examples/run_script" "$build_dir/tests/validate_trace" \
     "$repo/examples/in.droplet"

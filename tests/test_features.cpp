@@ -217,14 +217,34 @@ TEST(DataMovement, DeviceResidentRunAvoidsTransfers) {
   Input in(*sim);
   in.line("fix 1 all nve/kk");
   in.line("thermo 100");
+  in.line("neigh_modify every 5 check no");  // force rebuilds
   sim->setup();
   const std::size_t before_f = sim->atom.k_f.transfer_count();
+  const NeighborList& list = sim->neighbor.list;
+  const std::size_t before_neigh = list.k_neighbors.transfer_count();
+  const std::size_t before_num = list.k_numneigh.transfer_count();
   sim->run(50);
   // Forces live on the device throughout: zeroed there, computed there,
   // integrated there. Reverse comm is off (full list), so f never moves
   // except for rare neighbor rebuilds.
   const std::size_t f_moves = sim->atom.k_f.transfer_count() - before_f;
   EXPECT_LE(f_moves, 2u);
+  // The list is built in the pair style's space: every rebuild writes the
+  // device copy the kernel reads, so the table never crosses over.
+  EXPECT_GE(sim->neighbor.nbuilds, 10);
+  EXPECT_EQ(list.k_neighbors.transfer_count(), before_neigh);
+  EXPECT_EQ(list.k_numneigh.transfer_count(), before_num);
+
+  // A plain host style gets a host-built list: nothing to copy either.
+  auto plain = make_lj_system(2, 0.8442, 0.0, "lj/cut", 1.0);
+  Input in_plain(*plain);
+  in_plain.line("fix 1 all nve");
+  in_plain.line("thermo 100");
+  in_plain.line("neigh_modify every 5 check no");
+  plain->run(50);
+  EXPECT_GE(plain->neighbor.nbuilds, 10);
+  EXPECT_EQ(plain->neighbor.list.k_neighbors.transfer_count(), 0u);
+  EXPECT_EQ(plain->neighbor.list.k_numneigh.transfer_count(), 0u);
 
   // Contrast: a host fix forces per-step migrations of v and f.
   auto mixed = make_lj_system(2, 0.8442, 0.0, "lj/cut/kk", 1.0);

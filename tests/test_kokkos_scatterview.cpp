@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "kokkos/core.hpp"
@@ -9,18 +10,17 @@ namespace {
 
 // All three deconflicting strategies must produce identical results for the
 // same scatter pattern (§3.2: ScatterView transparently swaps strategies).
-class ScatterModes : public ::testing::TestWithParam<kk::ScatterMode> {};
-
-TEST_P(ScatterModes, UnstructuredAccumulationMatchesSerial) {
+template <class Space>
+void expect_scatter_matches_serial(kk::ScatterMode mode) {
   const std::size_t n_bins = 64;
   const std::size_t n_items = 50000;
 
-  kk::View2D<double, kk::Device> target("t", n_bins, 3);
+  kk::View2D<double, Space> target("t", n_bins, 3);
   target.fill(0.0);
-  kk::ScatterView<double, 2, kk::Device> sv(target, GetParam());
+  kk::ScatterView<double, 2, Space> sv(target, mode);
   auto acc = sv.access();
 
-  kk::parallel_for("scatter", kk::RangePolicy<kk::Device>(0, n_items),
+  kk::parallel_for("scatter", kk::RangePolicy<Space>(0, n_items),
                    [=](std::size_t i) {
                      const std::size_t bin = (i * 2654435761u) % n_bins;
                      acc.add(bin, i % 3, 1.0);
@@ -34,6 +34,16 @@ TEST_P(ScatterModes, UnstructuredAccumulationMatchesSerial) {
     for (std::size_t d = 0; d < 3; ++d)
       EXPECT_DOUBLE_EQ(target(b, d), expect[b * 3 + d])
           << "bin " << b << " dim " << d;
+}
+
+class ScatterModes : public ::testing::TestWithParam<kk::ScatterMode> {};
+
+TEST_P(ScatterModes, UnstructuredAccumulationMatchesSerial) {
+  // Sequential is plain `+=`: it runs on the serial Host space only.
+  if (GetParam() == kk::ScatterMode::Sequential)
+    expect_scatter_matches_serial<kk::Host>(GetParam());
+  else
+    expect_scatter_matches_serial<kk::Device>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ScatterModes,
@@ -52,6 +62,14 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ScatterModes,
 TEST(ScatterView, DefaultModesPerSpace) {
   EXPECT_EQ(kk::default_scatter_mode<kk::Device>(), kk::ScatterMode::Atomic);
   EXPECT_EQ(kk::default_scatter_mode<kk::Host>(), kk::ScatterMode::Sequential);
+}
+
+TEST(ScatterView, SequentialOnDeviceThrows) {
+  // Device kernels run on pool threads, where plain `+=` would race.
+  kk::View1D<double, kk::Device> target("t", 8);
+  EXPECT_THROW((kk::ScatterView<double, 1, kk::Device>(
+                   target, kk::ScatterMode::Sequential)),
+               std::invalid_argument);
 }
 
 TEST(ScatterView, DuplicatedReusableAfterContribute) {

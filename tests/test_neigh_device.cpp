@@ -1,19 +1,15 @@
-// Device neighbor-build path wired into the engine (docs/NEIGHBOR.md):
-// `neighbor style device` / MLK_NEIGH routing, and bitwise identity of
-// trajectories built with the device list against the host list — serial
-// and decomposed over simmpi ranks, with comm/compute overlap off and on.
+// The engine builds the neighbor list in the execution space of the pair
+// style that reads it (docs/NEIGHBOR.md), and trajectories with canonical
+// rows are per-tag bitwise invariant under sort x balance x rank count.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "comm/simmpi.hpp"
-#include "engine/neighbor_kokkos.hpp"
 #include "test_helpers.hpp"
 
 namespace mlk {
@@ -21,175 +17,34 @@ namespace {
 
 using testing::make_lj_system;
 
-struct Snapshot {
-  std::vector<double> x, v;
-  double pe = 0.0;
-  double ke = 0.0;
-};
-
-Snapshot snapshot(Simulation& sim) {
-  sim.atom.sync<kk::Host>(X_MASK | V_MASK);
-  const auto x = sim.atom.k_x.h_view;
-  const auto v = sim.atom.k_v.h_view;
-  Snapshot s;
-  for (localint i = 0; i < sim.atom.nlocal; ++i) {
-    for (int d = 0; d < 3; ++d) {
-      s.x.push_back(x(std::size_t(i), std::size_t(d)));
-      s.v.push_back(v(std::size_t(i), std::size_t(d)));
-    }
+TEST(NeighDevice, BuildRunsInPairSpace) {
+  // The list is written in the reading style's space, so the copy in that
+  // space is current and the other one is stale until someone syncs it.
+  // Either space fills the interior/boundary partition.
+  for (const auto& [style, space] :
+       {std::pair{"lj/cut", ExecSpaceKind::Host},
+        std::pair{"lj/cut/kk/host", ExecSpaceKind::Host},
+        std::pair{"lj/cut/kk", ExecSpaceKind::Device}}) {
+    auto sim = make_lj_system(3, 0.8442, 0.05, style);
+    sim->setup();
+    const NeighborList& l = sim->neighbor.list;
+    EXPECT_EQ(sim->neighbor.execution_space, space) << style;
+    EXPECT_EQ(l.k_neighbors.need_sync<kk::Host>(),
+              space == ExecSpaceKind::Device)
+        << style;
+    EXPECT_EQ(l.ninterior + l.nboundary, l.inum) << style;
   }
-  s.pe = sim.potential_energy();
-  s.ke = sim.kinetic_energy();
-  return s;
 }
 
-void expect_bitwise(const Snapshot& a, const Snapshot& b) {
-  ASSERT_EQ(a.x.size(), b.x.size());
-  ASSERT_EQ(a.v.size(), b.v.size());
-  for (std::size_t k = 0; k < a.x.size(); ++k) {
-    ASSERT_EQ(a.x[k], b.x[k]) << "position diverged at component " << k;
-    ASSERT_EQ(a.v[k], b.v[k]) << "velocity diverged at component " << k;
-  }
-  EXPECT_NEAR(a.pe, b.pe, 1e-9 * std::abs(a.pe) + 1e-12);
-  EXPECT_NEAR(a.ke, b.ke, 1e-9 * std::abs(a.ke) + 1e-12);
-}
-
-TEST(NeighDevice, InputCommandSelectsBuildPath) {
-  init_all();
-  Simulation sim;
-  Input in(sim);
-  EXPECT_EQ(sim.neighbor.build_path, NeighBuildPath::Host);
-  in.line("neighbor style device");
-  EXPECT_EQ(sim.neighbor.build_path, NeighBuildPath::Device);
-  in.line("neighbor style host");
-  EXPECT_EQ(sim.neighbor.build_path, NeighBuildPath::Host);
-  in.line("neighbor 0.4 bin");  // plain form still sets the skin
-  EXPECT_DOUBLE_EQ(sim.neighbor.skin, 0.4);
-  EXPECT_THROW(in.line("neighbor style gpu"), Error);
-}
-
-TEST(NeighDevice, EnvVarSelectsBuildPath) {
-  init_all();
-  setenv("MLK_NEIGH", "device", 1);
-  Simulation dev;
-  EXPECT_EQ(dev.neighbor.build_path, NeighBuildPath::Device);
-  setenv("MLK_NEIGH", "host", 1);
-  Simulation host;
-  EXPECT_EQ(host.neighbor.build_path, NeighBuildPath::Host);
-  setenv("MLK_NEIGH", "cuda", 1);
-  EXPECT_THROW(Simulation bad, Error);
-  unsetenv("MLK_NEIGH");
-  Simulation unset;
-  EXPECT_EQ(unset.neighbor.build_path, NeighBuildPath::Host);
-}
-
-TEST(NeighDevice, EngineBuildPopulatesPartition) {
-  // Satellite of the stale-partition bug: the device build must leave the
-  // engine list with a valid interior/boundary partition, or the overlapped
-  // force phase would silently run on empty row sets.
-  auto sim = make_lj_system(3, 0.8442, 0.05, "lj/cut/kk");
-  sim->neighbor.build_path = NeighBuildPath::Device;
-  sim->setup();
-  const NeighborList& l = sim->neighbor.list;
-  EXPECT_EQ(l.ninterior + l.nboundary, l.inum);
-  EXPECT_TRUE(sim->pair->supports_overlap(l));
-  EXPECT_EQ(sim->neighbor.nbuilds, 1);
-}
-
-// One melt trajectory with every combination of build path x overlap.
-Snapshot run_serial_melt(NeighBuildPath path, bool overlap, int steps) {
-  auto sim = make_lj_system(3, 0.8442, 0.02, "lj/cut/kk", 1.44);
-  sim->neighbor.build_path = path;
-  sim->overlap_enabled = overlap;
-  Input in(*sim);
-  in.line("fix 1 all nve");
-  in.line("thermo 10");
-  in.line("run " + std::to_string(steps));
-  return snapshot(*sim);
-}
-
-TEST(NeighDevice, SerialMeltBitwiseMatchesHostBuild) {
-  const Snapshot host = run_serial_melt(NeighBuildPath::Host, false, 40);
-  const Snapshot device = run_serial_melt(NeighBuildPath::Device, false, 40);
-  expect_bitwise(host, device);
-}
-
-TEST(NeighDevice, SerialMeltBitwiseMatchesHostBuildWithOverlap) {
-  const Snapshot host = run_serial_melt(NeighBuildPath::Host, true, 40);
-  const Snapshot device = run_serial_melt(NeighBuildPath::Device, true, 40);
-  expect_bitwise(host, device);
-}
-
-TEST(NeighDevice, PlainHostPairStyleRunsOnDeviceList) {
-  // A non-kokkos pair style consumes the device-built list through the
-  // DualView sync machinery: trajectories must not depend on the build path.
-  auto host = make_lj_system(2, 0.8442, 0.03, "lj/cut", 1.44);
-  auto dev = make_lj_system(2, 0.8442, 0.03, "lj/cut", 1.44);
-  dev->neighbor.build_path = NeighBuildPath::Device;
-  for (Simulation* sim : {host.get(), dev.get()}) {
-    Input in(*sim);
-    in.line("fix 1 all nve");
-    in.line("run 20");
-  }
-  expect_bitwise(snapshot(*host), snapshot(*dev));
-}
-
-std::vector<Snapshot> run_multirank_melt(int nranks, NeighBuildPath path,
-                                         bool overlap, int steps) {
-  init_all();
-  std::vector<Snapshot> out(static_cast<std::size_t>(nranks));
-  std::mutex mu;
-  simmpi::World world(nranks);
-  world.run([&](simmpi::Comm& comm) {
-    Simulation sim;
-    sim.mpi = &comm;
-    sim.neighbor.build_path = path;
-    sim.overlap_enabled = overlap;
-    sim.thermo.print = false;
-    Input in(sim);
-    in.line("units lj");
-    in.line("lattice fcc 0.8442");
-    in.line("create_atoms 4 4 4 jitter 0.02 771");
-    in.line("mass 1 1.0");
-    in.line("velocity all create 1.44 87287");
-    in.line("suffix kk");
-    in.line("pair_style lj/cut 2.5");
-    in.line("pair_coeff * * 1.0 1.0");
-    in.line("fix 1 all nve");
-    in.line("thermo 10");
-    in.line("run " + std::to_string(steps));
-    Snapshot s = snapshot(sim);  // collectives: every rank participates
-    std::lock_guard<std::mutex> lk(mu);
-    out[std::size_t(comm.rank())] = std::move(s);
-  });
-  return out;
-}
-
-TEST(NeighDevice, TwoRankMeltBitwiseMatchesHostBuild) {
-  const auto host = run_multirank_melt(2, NeighBuildPath::Host, false, 30);
-  const auto device = run_multirank_melt(2, NeighBuildPath::Device, false, 30);
-  ASSERT_EQ(host.size(), device.size());
-  for (std::size_t r = 0; r < host.size(); ++r)
-    expect_bitwise(host[r], device[r]);
-}
-
-TEST(NeighDevice, TwoRankMeltBitwiseMatchesHostBuildWithOverlap) {
-  const auto host = run_multirank_melt(2, NeighBuildPath::Host, true, 30);
-  const auto device = run_multirank_melt(2, NeighBuildPath::Device, true, 30);
-  ASSERT_EQ(host.size(), device.size());
-  for (std::size_t r = 0; r < host.size(); ++r)
-    expect_bitwise(host[r], device[r]);
-}
-
-// --- sort x balance x build-path bitwise sweep ------------------------------
+// --- sort x balance bitwise sweep -------------------------------------------
 //
 // Spatial sorting permutes storage order and `balance rcb` permutes atom
 // *ownership*; with canonical neighbor rows (neigh_modify canonical yes) a
 // trajectory must not depend on either (docs/DECOMPOSITION.md "bitwise
 // policy"). The sweep runs melt (uniform) and droplet (vacuum-gap lattice,
-// examples/in.droplet) under every combination of build path x sort x
-// balance x rank count and compares per-tag positions/velocities exactly
-// against the plain host/sort-off/balance-off reference.
+// examples/in.droplet) under every combination of sort x balance x rank
+// count and compares per-tag positions/velocities exactly against the
+// sort-off/balance-off reference at the same rank count.
 
 struct GlobalSnapshot {
   std::map<tagint, std::array<double, 6>> atoms;  // tag -> x[3], v[3]
@@ -198,7 +53,6 @@ struct GlobalSnapshot {
 
 struct SweepConfig {
   bool droplet = false;
-  NeighBuildPath path = NeighBuildPath::Host;
   bool sort = false;
   bool balance = false;
 };
@@ -211,7 +65,6 @@ GlobalSnapshot run_sweep(int nranks, const SweepConfig& cfg, int steps) {
   world.run([&](simmpi::Comm& comm) {
     Simulation sim;
     sim.mpi = &comm;
-    sim.neighbor.build_path = cfg.path;
     sim.thermo.print = false;
     Input in(sim);
     in.line("units lj");
@@ -277,33 +130,28 @@ void sweep_scenario(bool droplet, int steps) {
     refcfg.droplet = droplet;
     const GlobalSnapshot ref = run_sweep(nranks, refcfg, steps);
     ASSERT_FALSE(ref.atoms.empty());
-    for (const NeighBuildPath path :
-         {NeighBuildPath::Host, NeighBuildPath::Device}) {
-      for (const bool sort : {false, true}) {
-        for (const bool balance : {false, true}) {
-          if (path == NeighBuildPath::Host && !sort && !balance) continue;
-          SweepConfig cfg;
-          cfg.droplet = droplet;
-          cfg.path = path;
-          cfg.sort = sort;
-          cfg.balance = balance;
-          const std::string what =
-              std::string(droplet ? "droplet" : "melt") + " ranks=" +
-              std::to_string(nranks) +
-              (path == NeighBuildPath::Device ? " device" : " host") +
-              (sort ? " sort" : "") + (balance ? " balance" : "");
-          expect_same_trajectory(ref, run_sweep(nranks, cfg, steps), what);
-        }
+    for (const bool sort : {false, true}) {
+      for (const bool balance : {false, true}) {
+        if (!sort && !balance) continue;
+        SweepConfig cfg;
+        cfg.droplet = droplet;
+        cfg.sort = sort;
+        cfg.balance = balance;
+        const std::string what =
+            std::string(droplet ? "droplet" : "melt") + " ranks=" +
+            std::to_string(nranks) + (sort ? " sort" : "") +
+            (balance ? " balance" : "");
+        expect_same_trajectory(ref, run_sweep(nranks, cfg, steps), what);
       }
     }
   }
 }
 
-TEST(SortBalanceSweep, MeltBitwiseAcrossSortBalancePathsAndRanks) {
+TEST(SortBalanceSweep, MeltBitwiseAcrossSortBalanceAndRanks) {
   sweep_scenario(/*droplet=*/false, 30);
 }
 
-TEST(SortBalanceSweep, DropletBitwiseAcrossSortBalancePathsAndRanks) {
+TEST(SortBalanceSweep, DropletBitwiseAcrossSortBalanceAndRanks) {
   sweep_scenario(/*droplet=*/true, 30);
 }
 

@@ -7,7 +7,6 @@
 #include <tuple>
 #include <vector>
 
-#include "engine/neighbor_kokkos.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -46,7 +45,7 @@ std::vector<std::vector<int>> rows_sorted(const NeighborList& list) {
 }
 
 // Exact row-wise table (original order), for the bitwise-order contract
-// between the host and device binned builds.
+// between the Host and Device builds.
 std::vector<std::vector<int>> rows_exact(const NeighborList& list) {
   auto& l = const_cast<NeighborList&>(list);
   l.k_neighbors.sync<kk::Host>();
@@ -80,25 +79,6 @@ TEST_P(NeighborStyles, BinnedMatchesBruteForce) {
                               sim->atom.nlocal);
   EXPECT_EQ(list_pairs(sim->neighbor.list), list_pairs(ref));
   EXPECT_GT(sim->neighbor.list.total_pairs(), 0);
-}
-
-TEST_P(NeighborStyles, DeviceBuildMatchesHostBuild) {
-  auto sim = make_lj_system(3, 0.8442, 0.08);
-  sim->neighbor.style = GetParam().style;
-  sim->neighbor.newton = GetParam().newton;
-  sim->neighbor.cutoff = 2.5;
-  sim->comm.cutghost = sim->neighbor.cutghost();
-  sim->comm.borders(sim->atom, sim->domain);
-  sim->neighbor.build(sim->atom, sim->domain);
-
-  NeighborKokkos nk;
-  nk.cutoff = 2.5;
-  nk.skin = sim->neighbor.skin;
-  nk.style = GetParam().style;
-  nk.newton = GetParam().newton;
-  nk.build(sim->atom, sim->domain);
-
-  EXPECT_EQ(list_pairs(sim->neighbor.list), list_pairs(nk.list));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -196,13 +176,13 @@ TEST(Neighbor, TwoDTableRowsAreBounded) {
     EXPECT_LE(l.k_numneigh.h_view(std::size_t(i)), l.maxneighs);
 }
 
-// --- Host/device/brute-force equivalence sweep (docs/NEIGHBOR.md) --------
+// --- Host/Device/brute-force equivalence sweep (docs/NEIGHBOR.md) --------
 //
 // Sweeps {half, full} x {newton on, off} x {ghost_rows} on a randomized box
 // and checks three contracts at once:
-//  * device rows == host rows *in order* (the bitwise-identity contract),
+//  * Device rows == Host rows *in order* (the bitwise-identity contract),
 //  * both match brute_force_list up to within-row ordering,
-//  * both paths populate the interior/boundary partition identically and
+//  * both spaces populate the interior/boundary partition identically and
 //    ninterior + nboundary == inum (regression for the stale-partition bug).
 struct EquivCase {
   NeighStyle style;
@@ -222,9 +202,12 @@ TEST_P(NeighborEquivalence, HostDeviceBruteForceAgree) {
   n.cutoff = 2.5;
   sim->comm.cutghost = n.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
+  auto ref = brute_force_list(sim->atom, sim->domain, n.cutghost(), p.style,
+                              p.newton, sim->atom.nlocal, p.ghost_rows);
 
-  n.build_path = NeighBuildPath::Host;
+  n.execution_space = ExecSpaceKind::Host;
   n.build(sim->atom, sim->domain);
+  EXPECT_EQ(rows_sorted(n.list), rows_sorted(ref));
   const auto host_rows = rows_exact(n.list);
   const localint host_gnum = n.list.gnum;
   const localint host_ninterior = n.list.ninterior;
@@ -234,10 +217,10 @@ TEST_P(NeighborEquivalence, HostDeviceBruteForceAgree) {
     host_interior.push_back(n.list.k_interior.h_view(std::size_t(i)));
   ASSERT_EQ(n.list.ninterior + n.list.nboundary, n.list.inum);
 
-  n.build_path = NeighBuildPath::Device;
+  n.execution_space = ExecSpaceKind::Device;
   n.build(sim->atom, sim->domain);
   EXPECT_EQ(n.list.gnum, host_gnum);
-  EXPECT_EQ(rows_exact(n.list), host_rows) << "device rows differ from host";
+  EXPECT_EQ(rows_exact(n.list), host_rows) << "Device rows differ from Host";
 
   // Partition: same size, same members, and it covers every owned row.
   EXPECT_EQ(n.list.ninterior + n.list.nboundary, n.list.inum);
@@ -248,8 +231,6 @@ TEST_P(NeighborEquivalence, HostDeviceBruteForceAgree) {
     dev_interior.push_back(n.list.k_interior.h_view(std::size_t(i)));
   EXPECT_EQ(dev_interior, host_interior);
 
-  auto ref = brute_force_list(sim->atom, sim->domain, n.cutghost(), p.style,
-                              p.newton, sim->atom.nlocal, p.ghost_rows);
   EXPECT_EQ(ref.gnum, host_gnum);
   EXPECT_EQ(rows_sorted(n.list), rows_sorted(ref));
   if (p.ghost_rows) {
@@ -273,7 +254,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(Neighbor, HalfGhostRowsRejectedOnBothPaths) {
+TEST(Neighbor, HalfGhostRowsRejectedInBothSpaces) {
   auto sim = make_lj_system(2, 0.8442, 0.0);
   auto& n = sim->neighbor;
   n.style = NeighStyle::Half;
@@ -282,16 +263,17 @@ TEST(Neighbor, HalfGhostRowsRejectedOnBothPaths) {
   sim->comm.cutghost = n.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
 
-  n.build_path = NeighBuildPath::Host;
-  EXPECT_THROW(n.build(sim->atom, sim->domain), Error);
-  n.build_path = NeighBuildPath::Device;
-  EXPECT_THROW(n.build(sim->atom, sim->domain), Error);
+  for (const ExecSpaceKind space : {ExecSpaceKind::Host, ExecSpaceKind::Device}) {
+    n.execution_space = space;
+    EXPECT_THROW(n.build(sim->atom, sim->domain), Error);
+  }
 }
 
 TEST(Neighbor, BruteForceMaxneighsMatchesHostSemantics) {
   // With a cutoff shorter than the nearest-neighbor distance every row is
-  // empty: both builders must report maxneighs == 0 (true max, no floor)
-  // while still allocating a 1-column table.
+  // empty: the brute-force builder reports maxneighs == 0 (true max, no
+  // floor) while still allocating a 1-column table, and the binned build
+  // stores no pairs either.
   auto sim = make_lj_system(2, 0.8442, 0.0);
   auto& n = sim->neighbor;
   n.cutoff = 0.1;
@@ -302,87 +284,68 @@ TEST(Neighbor, BruteForceMaxneighsMatchesHostSemantics) {
 
   auto ref = brute_force_list(sim->atom, sim->domain, n.cutghost(),
                               NeighStyle::Full, false, sim->atom.nlocal);
-  EXPECT_EQ(n.list.maxneighs, 0);
   EXPECT_EQ(ref.maxneighs, 0);
   EXPECT_EQ(ref.k_neighbors.extent(1), std::size_t(1));
   EXPECT_EQ(n.list.total_pairs(), 0);
   EXPECT_EQ(ref.total_pairs(), 0);
 }
 
-// --- Resize-and-retry (device fill strategy) ------------------------------
+// --- Resize-and-retry fill ------------------------------------------------
 
-TEST(NeighborKokkos, ResizeRetryAmortizesAcrossRebuilds) {
+TEST(NeighborRetry, ResizeRetryAmortizesAcrossRebuilds) {
   auto sim = make_lj_system(3, 0.8442, 0.08);
   sim->neighbor.cutoff = 2.5;
   sim->comm.cutghost = sim->neighbor.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
 
-  NeighborKokkos nk;
-  nk.cutoff = 2.5;
-  nk.skin = sim->neighbor.skin;
-  nk.style = NeighStyle::Full;
-  nk.build(sim->atom, sim->domain);
-  const bigint cold_retries = nk.nretries;
-  EXPECT_GT(nk.maxneighs_hint, 0);
+  Neighbor nb;
+  nb.cutoff = 2.5;
+  nb.skin = sim->neighbor.skin;
+  nb.style = NeighStyle::Full;
+  nb.execution_space = ExecSpaceKind::Device;
+  nb.build(sim->atom, sim->domain);
+  const bigint cold_retries = nb.nretries;
+  EXPECT_GT(nb.maxneighs_hint, 0);
 
   // Steady state: the high-water capacity from the first build makes every
   // later build of the same configuration retry-free.
   for (int rep = 0; rep < 3; ++rep)
-    nk.build(sim->atom, sim->domain);
-  EXPECT_EQ(nk.nretries, cold_retries);
-  EXPECT_EQ(nk.nbuilds, 4);
+    nb.build(sim->atom, sim->domain);
+  EXPECT_EQ(nb.nretries, cold_retries);
+  EXPECT_EQ(nb.nbuilds, 4);
 
   // The hint covers the largest actual row.
-  nk.list.k_numneigh.sync<kk::Host>();
+  nb.list.k_numneigh.sync<kk::Host>();
   int true_max = 0;
-  for (localint i = 0; i < nk.list.inum; ++i)
-    true_max = std::max(true_max, nk.list.k_numneigh.h_view(std::size_t(i)));
-  EXPECT_GE(nk.maxneighs_hint, true_max);
+  for (localint i = 0; i < nb.list.inum; ++i)
+    true_max = std::max(true_max, nb.list.k_numneigh.h_view(std::size_t(i)));
+  EXPECT_GE(nb.maxneighs_hint, true_max);
 }
 
-TEST(NeighborKokkos, UndersizedHintRetriesThenRecovers) {
+TEST(NeighborRetry, UndersizedHintRetriesThenRecovers) {
   auto sim = make_lj_system(3, 0.8442, 0.05);
   sim->neighbor.cutoff = 2.5;
   sim->comm.cutghost = sim->neighbor.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
 
-  NeighborKokkos nk;
-  nk.cutoff = 2.5;
-  nk.skin = sim->neighbor.skin;
-  nk.style = NeighStyle::Full;
-  nk.maxneighs_hint = 2;  // deliberately far too small
-  nk.build(sim->atom, sim->domain);
-  EXPECT_GE(nk.nretries, 1);
-  EXPECT_GT(nk.maxneighs_hint, 2);
+  Neighbor nb;
+  nb.cutoff = 2.5;
+  nb.skin = sim->neighbor.skin;
+  nb.style = NeighStyle::Full;
+  nb.execution_space = ExecSpaceKind::Device;
+  nb.maxneighs_hint = 2;  // deliberately far too small
+  nb.build(sim->atom, sim->domain);
+  EXPECT_GE(nb.nretries, 1);
+  EXPECT_GT(nb.maxneighs_hint, 2);
 
-  // Overflow never corrupted the list: it matches the host build.
+  // Overflow never corrupted the list: it matches a cold Host build.
   auto& host = sim->neighbor;
   host.build(sim->atom, sim->domain);
-  EXPECT_EQ(rows_exact(nk.list), rows_exact(host.list));
+  EXPECT_EQ(rows_exact(nb.list), rows_exact(host.list));
 
-  const bigint after_cold = nk.nretries;
-  nk.build(sim->atom, sim->domain);
-  EXPECT_EQ(nk.nretries, after_cold);  // grown capacity sticks
-}
-
-TEST(NeighborKokkos, FillStrategiesProduceIdenticalLists) {
-  auto sim = make_lj_system(3, 0.8442, 0.08);
-  sim->neighbor.cutoff = 2.5;
-  sim->comm.cutghost = sim->neighbor.cutghost();
-  sim->comm.borders(sim->atom, sim->domain);
-
-  NeighborKokkos retry, baseline;
-  for (NeighborKokkos* nk : {&retry, &baseline}) {
-    nk->cutoff = 2.5;
-    nk->skin = sim->neighbor.skin;
-    nk->style = NeighStyle::Half;
-    nk->newton = true;
-  }
-  baseline.strategy = DeviceFillStrategy::CountThenFill;
-  retry.build(sim->atom, sim->domain);
-  baseline.build(sim->atom, sim->domain);
-  EXPECT_EQ(rows_exact(retry.list), rows_exact(baseline.list));
-  EXPECT_EQ(baseline.nretries, 0);  // count-then-fill never retries
+  const bigint after_cold = nb.nretries;
+  nb.build(sim->atom, sim->domain);
+  EXPECT_EQ(nb.nretries, after_cold);  // grown capacity sticks
 }
 
 // --- Rebuild trigger: every / delay / check + dangerous builds ------------

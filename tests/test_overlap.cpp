@@ -57,8 +57,13 @@ void expect_bitwise(const Snapshot& a, const Snapshot& b) {
 TEST(NeighborPartition, InteriorPlusBoundaryCoversOwnedRows) {
   auto sim = make_lj_system(3, 0.8442, 0.05, "lj/cut/kk");
   sim->setup();
-  const NeighborList& l = sim->neighbor.list;
+  NeighborList& l = sim->neighbor.list;
   EXPECT_EQ(l.ninterior + l.nboundary, l.inum);
+  // The device pair style's list is built on the device; read it on host.
+  l.k_neighbors.sync<kk::Host>();
+  l.k_numneigh.sync<kk::Host>();
+  l.k_interior.sync<kk::Host>();
+  l.k_boundary.sync<kk::Host>();
   // Serial box: every atom has ghost neighbors from the periodic images, so
   // the partition must find boundary rows; a 3-cell box also keeps interior
   // rows... validate the defining property row by row instead of counts.
