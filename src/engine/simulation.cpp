@@ -463,12 +463,8 @@ void Verlet::publish_telemetry(const Phase& p) {
     const auto tag = sim.atom.k_tag.h_view;
     const std::size_t n = std::size_t(sim.atom.nlocal);
     tel::CoordCapture::Buf buf = t.coords.begin(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      buf.x[3 * i + 0] = x(i, 0);
-      buf.x[3 * i + 1] = x(i, 1);
-      buf.x[3 * i + 2] = x(i, 2);
-      buf.tag[i] = tag(i);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      buf.set(i, x(i, 0), x(i, 1), x(i, 2), tag(i));
     const double prd[3] = {sim.domain.prd(0), sim.domain.prd(1),
                            sim.domain.prd(2)};
     t.coords.end(sim.ntimestep, prd);

@@ -11,37 +11,39 @@
 //     trade-off for small problems,
 //   * energy/virial tallies with the correct half/full weighting.
 //
-// The concrete style supplies a device-copyable functor exposing:
-//   double cutsq(itype, jtype)
-//   double fpair(rsq, itype, jtype)   — force magnitude divided by r
-//   double evdwl(rsq, itype, jtype)   — pair energy
+// One owned row has one body, detail::pair_row, and the atom-parallel
+// kernels have one launch, pair_compute_rows, over a row map: the full
+// kernel maps the identity, the comm/compute-overlap split maps the
+// interior and boundary row lists, and the batch server's fused slice
+// (PairBatch) calls pair_row directly.
 //
-// A functor may additionally provide the fused evaluation
+// The concrete style supplies a device-copyable functor implementing:
+//   double cutsq(itype, jtype)                 — squared cutoff
+//   double fpair(rsq, itype, jtype)            — force magnitude divided by r
 //   double fpair_ev(rsq, itype, jtype, double& evdwl_out)
-// which returns the force magnitude (bitwise-identical to fpair) while
-// computing the pair energy from the shared intermediates in one pass; when
-// present it replaces the separate fpair + evdwl evaluations whenever
-// energy/virial tallies are requested. When they are NOT requested, the
-// kernels below drop the reduction machinery entirely and dispatch a plain
-// parallel_for — the "fuse force+energy, eliminate the separate reduce
-// pass" optimization of the source paper.
+//       — the same force, bitwise equal to fpair, plus the pair energy from
+//         the shared intermediates; used whenever tallies are requested
+//   simd<double,W> fpair_simd<W>(rsq_pack, itype, const int* jtype)
+//   simd<double,W> fpair_ev_simd<W>(rsq_pack, itype, const int* jtype,
+//                                   simd<double,W>& evdwl_out)
+//       — the same two evaluations on a pack: lane l of rsq/jtype is
+//         neighbor l of the chunk; W == 1 must be bitwise equal to the
+//         scalar forms
+// LJFunctor (pair_lj_cut_kokkos.hpp) implements it. When no tallies are
+// requested the kernels drop the reduction machinery entirely and dispatch
+// a plain parallel_for — the "fuse force+energy, eliminate the separate
+// reduce pass" optimization of the source paper.
 //
 // SIMD: with kk::simd_enabled() (MLK_SIMD / `simd on`), every kernel below
 // walks each atom row's neighbors kk::native_simd_width lanes at a time
 // with kk::simd packs — distance math, the cutoff test, and the functor
-// evaluation run masked across lanes (docs/VECTORIZATION.md). A functor may
-// provide the pack interface
-//   simd<double,W> fpair_simd<W>(rsq_pack, itype, const int* jtype)
-//   simd<double,W> fpair_ev_simd<W>(rsq_pack, itype, const int* jtype,
-//                                   simd<double,W>& evdwl_out)
-// (lane l of rsq/jtype is neighbor l of the chunk); without it, the
-// neighbor geometry still vectorizes and the functor is evaluated per
-// active lane. The scalar path stays the reference: SIMD off runs the
-// original per-neighbor loops untouched.
+// evaluation run masked across lanes (docs/VECTORIZATION.md). The scalar
+// path stays the reference: SIMD off runs the per-neighbor loop.
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <type_traits>
 
 #include "engine/atom.hpp"
 #include "engine/neighbor.hpp"
@@ -78,14 +80,46 @@ struct PairComputeConfig {
   bool eflag = true;
 };
 
+/// The views a pair kernel reads and writes, synced to Space by the
+/// constructor. Construct it on the calling thread: all DualView flag
+/// bookkeeping happens there, so a kernel that later runs inside an
+/// asynchronous kk::DeviceInstance task touches only these raw views
+/// (docs/EXECUTION_MODEL.md: "flags stay on the submitting thread"). The
+/// caller marks F modified once the kernel is issued.
+template <class Space>
+struct PairViews {
+  template <class T, int Rank>
+  using view = kk::View<T, Rank, typename Space::default_layout>;
+
+  view<double, 2> x, f;
+  view<int, 1> type;
+  view<int, 2> neighbors;
+  view<int, 1> numneigh;
+  localint nlocal = 0;
+
+  PairViews(Atom& atom, NeighborList& list) : nlocal(atom.nlocal) {
+    atom.sync<Space>(X_MASK | TYPE_MASK | F_MASK);
+    list.k_neighbors.sync<Space>();
+    list.k_numneigh.sync<Space>();
+    x = atom.k_x.view<Space>();
+    f = atom.k_f.view<Space>();
+    type = atom.k_type.view<Space>();
+    neighbors = list.k_neighbors.view<Space>();
+    numneigh = list.k_numneigh.view<Space>();
+  }
+};
+
 namespace detail {
 
+/// One (i, j) pair of the scalar reference loop. Always inlined: the pair
+/// body must sit inside the neighbor loop whatever shape its caller has, or
+/// -O2 leaves a function call per pair.
 template <bool FULL, bool NEWTON, class XView, class FAcc, class TView,
           class Functor>
-inline void pair_accumulate(const XView& x, const FAcc& facc,
-                            const TView& type, const Functor& func,
-                            std::size_t i, int j, localint nlocal, bool eflag,
-                            double& fxi, double& fyi, double& fzi, EV& ev) {
+[[gnu::always_inline]] inline void pair_accumulate(
+    const XView& x, const FAcc& facc, const TView& type, const Functor& func,
+    std::size_t i, int j, localint nlocal, bool eflag, double& fxi,
+    double& fyi, double& fzi, EV& ev) {
   const double dx = x(i, 0) - x(std::size_t(j), 0);
   const double dy = x(i, 1) - x(std::size_t(j), 1);
   const double dz = x(i, 2) - x(std::size_t(j), 2);
@@ -94,16 +128,9 @@ inline void pair_accumulate(const XView& x, const FAcc& facc,
   const int jtype = type(std::size_t(j));
   if (rsq >= func.cutsq(itype, jtype)) return;
 
-  double fpair;
   double epair = 0.0;
-  if constexpr (requires(double& e) { func.fpair_ev(rsq, itype, jtype, e); }) {
-    // Fused force+energy evaluation sharing the r^-2/r^-6 intermediates.
-    fpair = eflag ? func.fpair_ev(rsq, itype, jtype, epair)
-                  : func.fpair(rsq, itype, jtype);
-  } else {
-    fpair = func.fpair(rsq, itype, jtype);
-    if (eflag) epair = func.evdwl(rsq, itype, jtype);
-  }
+  const double fpair = eflag ? func.fpair_ev(rsq, itype, jtype, epair)
+                             : func.fpair(rsq, itype, jtype);
   const double fx = dx * fpair, fy = dy * fpair, fz = dz * fpair;
   fxi += fx;
   fyi += fy;
@@ -127,21 +154,22 @@ inline void pair_accumulate(const XView& x, const FAcc& facc,
 }
 
 /// SIMD counterpart of pair_accumulate: evaluates one chunk of up to W
-/// neighbors of atom i. `j` holds W neighbor indices (inactive lanes padded
-/// with j[0], a valid index, so gathers never read out of bounds); `act`
-/// marks real lanes. Forces and EV terms accumulate into caller-held packs;
-/// inactive/out-of-cutoff lanes have fpair forced to 0 so their
-/// contributions vanish. The j-side half-list scatter stays per-active-lane
-/// (one add per (i,j) pair, row order preserved — bitwise-identical to the
-/// scalar loop; see VECTORIZATION.md's equivalence policy).
+/// neighbors of the atom at (xi0, xi1, xi2). `j` holds W neighbor indices
+/// (inactive lanes padded with j[0], a valid index, so gathers never read
+/// out of bounds); `act` marks real lanes. Forces and EV terms accumulate
+/// into caller-held packs; inactive/out-of-cutoff lanes have fpair forced
+/// to 0 so their contributions vanish. The j-side half-list scatter stays
+/// per-active-lane (one add per (i,j) pair, row order preserved —
+/// bitwise-identical to the scalar loop; see VECTORIZATION.md's
+/// equivalence policy).
 template <int W, bool FULL, bool NEWTON, class XView, class FAcc, class TView,
           class Functor>
 inline void pair_chunk_packed(const XView& x, const FAcc& facc,
                               const TView& type, const Functor& func,
-                              std::size_t i, double xi0, double xi1, double xi2,
-                              int itype, const int* j,
-                              const kk::simd_mask<W>& act, localint nlocal,
-                              bool eflag, kk::simd<double, W>& afx,
+                              double xi0, double xi1, double xi2, int itype,
+                              const int* j, const kk::simd_mask<W>& act,
+                              localint nlocal, bool eflag,
+                              kk::simd<double, W>& afx,
                               kk::simd<double, W>& afy,
                               kk::simd<double, W>& afz, kk::simd<double, W>& ae,
                               kk::simd<double, W>* av) {
@@ -161,31 +189,9 @@ inline void pair_chunk_packed(const XView& x, const FAcc& facc,
   // Inactive lanes divide a benign 1.0, never rsq garbage (NaN/UB safety).
   const pd rsq_s = kk::select(m, rsq, pd(1.0));
 
-  pd fpair, epair;
-  if constexpr (requires(pd& e) {
-                  func.template fpair_ev_simd<W>(rsq_s, itype, jt, e);
-                }) {
-    // Pack-native functor: whole chunk evaluated in SIMD registers.
-    fpair = eflag ? func.template fpair_ev_simd<W>(rsq_s, itype, jt, epair)
-                  : func.template fpair_simd<W>(rsq_s, itype, jt);
-  } else {
-    // Generic fallback: distance math above vectorized, functor per lane.
-    for (int l = 0; l < W; ++l) {
-      if (!m[l]) continue;
-      double e = 0.0, fp;
-      if constexpr (requires(double& ee) {
-                      func.fpair_ev(rsq_s[l], itype, jt[l], ee);
-                    }) {
-        fp = eflag ? func.fpair_ev(rsq_s[l], itype, jt[l], e)
-                   : func.fpair(rsq_s[l], itype, jt[l]);
-      } else {
-        fp = func.fpair(rsq_s[l], itype, jt[l]);
-        if (eflag) e = func.evdwl(rsq_s[l], itype, jt[l]);
-      }
-      fpair.set_lane(l, fp);
-      epair.set_lane(l, e);
-    }
-  }
+  pd epair;
+  pd fpair = eflag ? func.template fpair_ev_simd<W>(rsq_s, itype, jt, epair)
+                   : func.template fpair_simd<W>(rsq_s, itype, jt);
   fpair = kk::select(m, fpair, pd(0.0));
   const pd fx = dx * fpair, fy = dy * fpair, fz = dz * fpair;
   afx += fx;
@@ -244,7 +250,7 @@ inline void pair_row_packed(const XView& x, const FAcc& facc,
   const int nfull = jnum & ~(W - 1);
   for (int jj = 0; jj < nfull; jj += W) {
     for (int l = 0; l < W; ++l) j[l] = neigh(i, std::size_t(jj + l));
-    pair_chunk_packed<W, FULL, NEWTON>(x, facc, type, func, i, xi0, xi1, xi2,
+    pair_chunk_packed<W, FULL, NEWTON>(x, facc, type, func, xi0, xi1, xi2,
                                        itype, j, all, nlocal, eflag, afx, afy,
                                        afz, ae, av);
   }
@@ -253,7 +259,7 @@ inline void pair_row_packed(const XView& x, const FAcc& facc,
     for (int l = 0; l < rem; ++l) j[l] = neigh(i, std::size_t(nfull + l));
     for (int l = rem; l < W; ++l) j[l] = j[0];  // pad with a valid index
     pair_chunk_packed<W, FULL, NEWTON>(
-        x, facc, type, func, i, xi0, xi1, xi2, itype, j,
+        x, facc, type, func, xi0, xi1, xi2, itype, j,
         kk::simd_mask<W>::first(rem), nlocal, eflag, afx, afy, afz, ae, av);
   }
   fxi += kk::reduce_sum(afx);
@@ -265,108 +271,56 @@ inline void pair_row_packed(const XView& x, const FAcc& facc,
   }
 }
 
-}  // namespace detail
-
-/// Atom-parallel kernel: one work item per atom, serial loop over neighbors.
-template <class Space, bool FULL, bool NEWTON, class Functor>
-EV pair_compute_atom(const std::string& name, Atom& atom,
-                     const NeighborList& list, const Functor& func,
-                     kk::ScatterMode scatter, bool eflag) {
-  atom.sync<Space>(X_MASK | TYPE_MASK | F_MASK);
-  auto x = atom.k_x.view<Space>();
-  auto f = atom.k_f.view<Space>();
-  auto type = atom.k_type.view<Space>();
-  auto& l = const_cast<NeighborList&>(list);
-  l.k_neighbors.sync<Space>();
-  l.k_numneigh.sync<Space>();
-  auto neigh = l.k_neighbors.view<Space>();
-  auto numneigh = l.k_numneigh.view<Space>();
-  const localint nlocal = atom.nlocal;
-
-  kk::ScatterView<double, 2, Space> fscatter(f, scatter);
-  auto facc = fscatter.access();
-
-  const bool use_simd = kk::simd_enabled();
-  if (use_simd) kk::simdstats::count_launch(name);
-
-  EV total;
-  const auto row = [=](std::size_t i, EV& ev) {
-    double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-    const int jnum = numneigh(i);
-    if (use_simd) {
-      detail::pair_row_packed<kk::native_simd_width, FULL, NEWTON>(
-          x, facc, type, neigh, func, i, jnum, nlocal, eflag, fxi, fyi, fzi,
-          ev);
-    } else {
-      for (int jj = 0; jj < jnum; ++jj) {
-        const int j = neigh(i, std::size_t(jj));
-        detail::pair_accumulate<FULL, NEWTON>(x, facc, type, func, i, j, nlocal,
-                                              eflag, fxi, fyi, fzi, ev);
-      }
-    }
-    facc.add(i, 0, fxi);
-    facc.add(i, 1, fyi);
-    facc.add(i, 2, fzi);
-  };
-  if (eflag) {
-    kk::parallel_reduce(name, kk::RangePolicy<Space>(0, std::size_t(list.inum)),
-                        row, total);
+/// The one body for owned row i: the scalar reference loop, or the packed
+/// walk when `use_simd`, then the row's force adds on atom i. Tallies land
+/// in `ev` when `eflag`.
+template <bool FULL, bool NEWTON, class Space, class FAcc, class Functor>
+inline void pair_row(const PairViews<Space>& v, const FAcc& facc,
+                     const Functor& func, std::size_t i, bool use_simd,
+                     bool eflag, EV& ev) {
+  double fxi = 0.0, fyi = 0.0, fzi = 0.0;
+  const int jnum = v.numneigh(i);
+  if (use_simd) {
+    pair_row_packed<kk::native_simd_width, FULL, NEWTON>(
+        v.x, facc, v.type, v.neighbors, func, i, jnum, v.nlocal, eflag, fxi,
+        fyi, fzi, ev);
   } else {
-    // No tallies requested: plain parallel_for, no reduction machinery.
-    kk::parallel_for(name, kk::RangePolicy<Space>(0, std::size_t(list.inum)),
-                     [=](std::size_t i) {
-                       EV unused;
-                       row(i, unused);
-                     });
+    for (int jj = 0; jj < jnum; ++jj) {
+      const int j = v.neighbors(i, std::size_t(jj));
+      pair_accumulate<FULL, NEWTON>(v.x, facc, v.type, func, i, j, v.nlocal,
+                                    eflag, fxi, fyi, fzi, ev);
+    }
   }
-  fscatter.contribute();
-  atom.modified<Space>(F_MASK);
-  return total;
+  facc.add(i, 0, fxi);
+  facc.add(i, 1, fyi);
+  facc.add(i, 2, fzi);
 }
 
-/// Atom-parallel kernel over an explicit sublist of owned rows, operating on
-/// raw pre-synced views. Performs NO DualView sync/modify bookkeeping — the
-/// caller orchestrates flags on its own thread — which makes this variant
-/// safe to run inside an asynchronous kk::DeviceInstance task (the
-/// comm/compute-overlapped force phase, docs/EXECUTION_MODEL.md). Returns
-/// the energy/virial contribution of the sublist rows.
-template <class Space, bool FULL, bool NEWTON, class XView, class FView,
-          class TView, class NeighView, class NumView, class SubView,
-          class Functor>
-EV pair_compute_sublist_views(const std::string& name, const XView& x,
-                              const FView& f, const TView& type,
-                              const NeighView& neigh, const NumView& numneigh,
-                              const SubView& sublist, std::size_t nsub,
-                              localint nlocal, const Functor& func,
-                              kk::ScatterMode scatter, bool eflag) {
-  kk::ScatterView<double, 2, Space> fscatter(f, scatter);
+}  // namespace detail
+
+/// Atom-parallel kernel: one work item per row, work item s computing owned
+/// row `row_of(s)` for s in [0, n). Performs no DualView bookkeeping (the
+/// PairViews constructor did it), so it may run inside an asynchronous
+/// kk::DeviceInstance task. Returns the energy/virial of those rows.
+template <class Space, bool FULL, bool NEWTON, class RowOf, class Functor>
+EV pair_compute_rows(const std::string& name, const PairViews<Space>& views,
+                     const RowOf& row_of, std::size_t n, const Functor& func,
+                     kk::ScatterMode scatter, bool eflag) {
+  kk::ScatterView<double, 2, Space> fscatter(views.f, scatter);
   auto facc = fscatter.access();
   const bool use_simd = kk::simd_enabled();
   if (use_simd) kk::simdstats::count_launch(name);
+
   EV total;
   const auto row = [=](std::size_t s, EV& ev) {
-    const std::size_t i = std::size_t(sublist(s));
-    double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-    const int jnum = numneigh(i);
-    if (use_simd) {
-      detail::pair_row_packed<kk::native_simd_width, FULL, NEWTON>(
-          x, facc, type, neigh, func, i, jnum, nlocal, eflag, fxi, fyi, fzi,
-          ev);
-    } else {
-      for (int jj = 0; jj < jnum; ++jj) {
-        const int j = neigh(i, std::size_t(jj));
-        detail::pair_accumulate<FULL, NEWTON>(x, facc, type, func, i, j, nlocal,
-                                              eflag, fxi, fyi, fzi, ev);
-      }
-    }
-    facc.add(i, 0, fxi);
-    facc.add(i, 1, fyi);
-    facc.add(i, 2, fzi);
+    detail::pair_row<FULL, NEWTON>(views, facc, func, std::size_t(row_of(s)),
+                                   use_simd, eflag, ev);
   };
   if (eflag) {
-    kk::parallel_reduce(name, kk::RangePolicy<Space>(0, nsub), row, total);
+    kk::parallel_reduce(name, kk::RangePolicy<Space>(0, n), row, total);
   } else {
-    kk::parallel_for(name, kk::RangePolicy<Space>(0, nsub), [=](std::size_t s) {
+    // No tallies requested: plain parallel_for, no reduction machinery.
+    kk::parallel_for(name, kk::RangePolicy<Space>(0, n), [=](std::size_t s) {
       EV unused;
       row(s, unused);
     });
@@ -375,42 +329,32 @@ EV pair_compute_sublist_views(const std::string& name, const XView& x,
   return total;
 }
 
-/// Team-parallel kernel: one team per atom, neighbor loop distributed over
-/// (logical) vector lanes — exposes enough concurrency to saturate a GPU on
-/// small systems (§4.1, Fig. 2a).
+/// Team-parallel kernel over owned rows [0, n): one team per atom, neighbor
+/// loop distributed over (logical) vector lanes — exposes enough
+/// concurrency to saturate a GPU on small systems (§4.1, Fig. 2a).
 template <class Space, bool FULL, bool NEWTON, class Functor>
-EV pair_compute_team(const std::string& name, Atom& atom,
-                     const NeighborList& list, const Functor& func,
+EV pair_compute_team(const std::string& name, const PairViews<Space>& views,
+                     std::size_t n, const Functor& func,
                      kk::ScatterMode scatter, int vector_length, bool eflag) {
-  atom.sync<Space>(X_MASK | TYPE_MASK | F_MASK);
-  auto x = atom.k_x.view<Space>();
-  auto f = atom.k_f.view<Space>();
-  auto type = atom.k_type.view<Space>();
-  auto& l = const_cast<NeighborList&>(list);
-  l.k_neighbors.sync<Space>();
-  l.k_numneigh.sync<Space>();
-  auto neigh = l.k_neighbors.view<Space>();
-  auto numneigh = l.k_numneigh.view<Space>();
-  const localint nlocal = atom.nlocal;
-
-  kk::ScatterView<double, 2, Space> fscatter(f, scatter);
+  kk::ScatterView<double, 2, Space> fscatter(views.f, scatter);
   auto facc = fscatter.access();
 
   const bool use_simd = kk::simd_enabled();
   if (use_simd) kk::simdstats::count_launch(name);
 
   EV total;
-  kk::TeamPolicy<Space> policy(std::size_t(list.inum), 1, vector_length);
+  kk::TeamPolicy<Space> policy(n, 1, vector_length);
   kk::parallel_reduce(
       name, policy,
       [=](const kk::TeamMember& member, EV& ev) {
         const std::size_t i = member.league_rank();
-        const int jnum = numneigh(i);
+        const int jnum = views.numneigh(i);
         // Per-lane partial forces on atom i reduced across the vector range.
         double fxi = 0.0, fyi = 0.0, fzi = 0.0;
         EV ev_local;
-        const double xi0 = x(i, 0), xi1 = x(i, 1), xi2 = x(i, 2);
-        const int itype = type(i);
+        const double xi0 = views.x(i, 0), xi1 = views.x(i, 1),
+                     xi2 = views.x(i, 2);
+        const int itype = views.type(i);
         // Single-source vector level: W = native width with SIMD on, 1 off.
         kk::vector_for(
             kk::ThreadVectorRange(member, std::size_t(jnum)),
@@ -418,14 +362,15 @@ EV pair_compute_team(const std::string& name, Atom& atom,
               constexpr int W = decltype(lanes)::width;
               using pd = kk::simd<double, W>;
               int j[W];
-              j[0] = neigh(i, lanes.index(0));  // lane 0 is always active
+              j[0] = views.neighbors(i, lanes.index(0));  // lane 0 active
               for (int l = 1; l < W; ++l)
-                j[l] = lanes.mask[l] ? neigh(i, lanes.index(l)) : j[0];
+                j[l] = lanes.mask[l] ? views.neighbors(i, lanes.index(l))
+                                     : j[0];
               pd afx, afy, afz, ae;
               pd av[6];
               detail::pair_chunk_packed<W, FULL, NEWTON>(
-                  x, facc, type, func, i, xi0, xi1, xi2, itype, j, lanes.mask,
-                  nlocal, eflag, afx, afy, afz, ae, av);
+                  views.x, facc, views.type, func, xi0, xi1, xi2, itype, j,
+                  lanes.mask, views.nlocal, eflag, afx, afy, afz, ae, av);
               fxi += kk::reduce_sum(afx);
               fyi += kk::reduce_sum(afy);
               fzi += kk::reduce_sum(afz);
@@ -443,35 +388,32 @@ EV pair_compute_team(const std::string& name, Atom& atom,
       },
       total);
   fscatter.contribute();
-  atom.modified<Space>(F_MASK);
   return total;
 }
 
-/// Runtime-configured dispatcher over list style, newton flag, parallelism.
+/// Full force kernel for every owned row of `list`, dispatched at runtime
+/// over list style, newton flag and parallelism.
 template <class Space, class Functor>
 EV pair_compute_dispatch(const std::string& name, Atom& atom,
-                         const NeighborList& list, const Functor& func,
+                         NeighborList& list, const Functor& func,
                          const PairComputeConfig& cfg) {
-  const bool full = list.style == NeighStyle::Full;
-  const bool newton = list.newton;
-  if (cfg.parallelism == PairParallelism::Atom) {
-    if (full)
-      return pair_compute_atom<Space, true, false>(name, atom, list, func,
-                                                   cfg.scatter, cfg.eflag);
-    if (newton)
-      return pair_compute_atom<Space, false, true>(name, atom, list, func,
-                                                   cfg.scatter, cfg.eflag);
-    return pair_compute_atom<Space, false, false>(name, atom, list, func,
-                                                  cfg.scatter, cfg.eflag);
-  }
-  if (full)
-    return pair_compute_team<Space, true, false>(
-        name, atom, list, func, cfg.scatter, cfg.vector_length, cfg.eflag);
-  if (newton)
-    return pair_compute_team<Space, false, true>(
-        name, atom, list, func, cfg.scatter, cfg.vector_length, cfg.eflag);
-  return pair_compute_team<Space, false, false>(
-      name, atom, list, func, cfg.scatter, cfg.vector_length, cfg.eflag);
+  const PairViews<Space> views(atom, list);
+  const std::size_t n = std::size_t(list.inum);
+  const auto launch = [&](auto full, auto newton) {
+    if (cfg.parallelism == PairParallelism::Team)
+      return pair_compute_team<Space, full, newton>(
+          name, views, n, func, cfg.scatter, cfg.vector_length, cfg.eflag);
+    return pair_compute_rows<Space, full, newton>(
+        name, views, [](std::size_t i) { return i; }, n, func, cfg.scatter,
+        cfg.eflag);
+  };
+  const std::true_type yes{};
+  const std::false_type no{};
+  const EV ev = list.style == NeighStyle::Full ? launch(yes, no)
+                : list.newton                  ? launch(no, yes)
+                                               : launch(no, no);
+  atom.modified<Space>(F_MASK);
+  return ev;
 }
 
 }  // namespace mlk

@@ -78,18 +78,9 @@ void PairLJCutKokkos<Space>::compute_interior(Simulation& sim, bool eflag,
   // async task below touches only the raw views captured after the syncs
   // (docs/EXECUTION_MODEL.md: "flags stay on the submitting thread").
   atom.zero_forces<Space>();
-  atom.sync<Space>(X_MASK | TYPE_MASK | F_MASK);
-  l.k_neighbors.sync<Space>();
-  l.k_numneigh.sync<Space>();
+  const PairViews<Space> views(atom, l);
   l.k_interior.sync<Space>();
-
-  const auto x = atom.k_x.template view<Space>();
-  const auto f = atom.k_f.template view<Space>();
-  const auto type = atom.k_type.template view<Space>();
-  const auto neigh = l.k_neighbors.template view<Space>();
-  const auto numneigh = l.k_numneigh.template view<Space>();
   const auto interior = l.k_interior.template view<Space>();
-  const localint nlocal = atom.nlocal;
   const std::size_t nsub = std::size_t(l.ninterior);
   const LJFunctor func = functor_;
   const kk::ScatterMode scatter = cfg_.scatter;
@@ -98,28 +89,23 @@ void PairLJCutKokkos<Space>::compute_interior(Simulation& sim, bool eflag,
   const std::string name =
       std::string("PairComputeLJCut<") + Space::name() + ">::interior";
   instance.enqueue(name, [=] {
-    *out = pair_compute_sublist_views<Space, true, false>(
-        name, x, f, type, neigh, numneigh, interior, nsub, nlocal, func,
-        scatter, eflag);
+    *out = pair_compute_rows<Space, true, false>(name, views, interior, nsub,
+                                                 func, scatter, eflag);
   });
   atom.template modified<Space>(F_MASK);
 }
 
 template <class Space>
 void PairLJCutKokkos<Space>::compute_boundary(Simulation& sim, bool eflag) {
-  Atom& atom = sim.atom;
   NeighborList& l = sim.neighbor.list;
-  atom.sync<Space>(X_MASK);  // pick up the freshly exchanged ghost rows
+  // Picks up the freshly exchanged ghost rows of x.
+  const PairViews<Space> views(sim.atom, l);
   l.k_boundary.sync<Space>();
-
-  const EV ev_boundary = pair_compute_sublist_views<Space, true, false>(
-      std::string("PairComputeLJCut<") + Space::name() + ">::boundary",
-      atom.k_x.template view<Space>(), atom.k_f.template view<Space>(),
-      atom.k_type.template view<Space>(),
-      l.k_neighbors.template view<Space>(),
-      l.k_numneigh.template view<Space>(), l.k_boundary.template view<Space>(),
-      std::size_t(l.nboundary), atom.nlocal, functor_, cfg_.scatter, eflag);
-  atom.template modified<Space>(F_MASK);
+  const EV ev_boundary = pair_compute_rows<Space, true, false>(
+      std::string("PairComputeLJCut<") + Space::name() + ">::boundary", views,
+      l.k_boundary.template view<Space>(), std::size_t(l.nboundary), functor_,
+      cfg_.scatter, eflag);
+  sim.atom.template modified<Space>(F_MASK);
 
   // ev_interior_ is defined: the engine fenced the interior instance before
   // calling compute_boundary.
@@ -137,7 +123,7 @@ std::string PairLJCutKokkos<Space>::batch_signature(const Simulation& sim,
   //   * no tallies — eflag reductions join per-rank partials in rank order,
   //     so fusing them would change the summation order vs. solo;
   //   * full list + atom parallelism — row i accumulates into atom i only
-  //     (pair_accumulate<FULL> never scatters to j), which is what makes
+  //     (detail::pair_row<FULL> never scatters to j), which is what makes
   //     the fused launch bitwise-identical under any row partitioning;
   //   * atomic scatter — duplicated/sequential modes assume the launch
   //     shape the solo kernel would have had;
@@ -160,73 +146,44 @@ void PairLJCutKokkos<Space>::batch_enlist(Simulation& sim, bool eflag,
   reset_accumulators();
   cfg_.eflag = false;
 
-  Atom& atom = sim.atom;
-  NeighborList& l = sim.neighbor.list;
   // Same threading contract as compute_interior: every DualView sync runs
-  // here on the calling thread; the fused kernel touches only the raw views
-  // captured below. The solo path syncs F then zeroes it (Atom::zero_forces)
-  // — replicated here by syncing at enlistment and zeroing inside the fused
-  // kernel, so both paths leave bitwise-identical state.
-  atom.template sync<Space>(X_MASK | TYPE_MASK | F_MASK);
-  l.k_neighbors.sync<Space>();
-  l.k_numneigh.sync<Space>();
-
-  const auto x = atom.k_x.template view<Space>();
-  const auto f = atom.k_f.template view<Space>();
-  const auto type = atom.k_type.template view<Space>();
-  const auto neigh = l.k_neighbors.template view<Space>();
-  const auto numneigh = l.k_numneigh.template view<Space>();
-  const localint nlocal = atom.nlocal;
-  const std::size_t nforce = std::size_t(l.inum);
+  // here on the calling thread; the fused kernel touches only the raw views.
+  // The solo path syncs F then zeroes it (Atom::zero_forces) — replicated
+  // here by syncing at enlistment and zeroing inside the fused kernel, so
+  // both paths leave bitwise-identical state.
+  const PairViews<Space> views(sim.atom, sim.neighbor.list);
+  const std::size_t nforce = std::size_t(sim.neighbor.list.inum);
   const LJFunctor func = functor_;
 
   // Per-job ScatterView (Atomic: adds land directly in this job's force
   // array). Heap-owned so it outlives enlistment; the epilogue keeps the
   // shared_ptr alive through the launch and runs contribute afterwards.
   auto fscatter = std::make_shared<kk::ScatterView<double, 2, Space>>(
-      f, cfg_.scatter);
+      views.f, cfg_.scatter);
   const auto facc = fscatter->access();
-
-  const bool use_simd = kk::simd_enabled();
-  if (use_simd)
-    kk::simdstats::count_launch(std::string("PairComputeLJCut<") +
-                                Space::name() + ">::batch");
 
   PairBatch::Slice s;
   s.label = std::string("PairComputeLJCut<") + Space::name() + ">";
+  const bool use_simd = kk::simd_enabled();
+  if (use_simd) kk::simdstats::count_launch(s.label + "::batch");
   // Row space covers all nall force rows: rows < inum zero their own atom
-  // then accumulate its neighbors (the add lands on the freshly zeroed
-  // entry, exactly the value the solo zero-kernel + force-kernel sequence
-  // produces); ghost rows only zero. No row reads f, so zeroing needs no
-  // barrier against the force work of other rows.
-  s.rows = std::size_t(atom.nall());
+  // then run the solo kernel's row body (its adds land on the freshly
+  // zeroed entry, exactly the value the solo zero-kernel + force-kernel
+  // sequence produces); ghost rows only zero. No row reads f, so zeroing
+  // needs no barrier against the force work of other rows.
+  s.rows = std::size_t(sim.atom.nall());
   s.row = [=](std::size_t i) {
-    f(i, 0) = 0.0;
-    f(i, 1) = 0.0;
-    f(i, 2) = 0.0;
+    views.f(i, 0) = 0.0;
+    views.f(i, 1) = 0.0;
+    views.f(i, 2) = 0.0;
     if (i >= nforce) return;
     EV unused;
-    double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-    const int jnum = numneigh(i);
-    if (use_simd) {
-      detail::pair_row_packed<kk::native_simd_width, true, false>(
-          x, facc, type, neigh, func, i, jnum, nlocal, /*eflag=*/false, fxi,
-          fyi, fzi, unused);
-    } else {
-      for (int jj = 0; jj < jnum; ++jj) {
-        const int j = neigh(i, std::size_t(jj));
-        detail::pair_accumulate<true, false>(x, facc, type, func, i, j, nlocal,
-                                             /*eflag=*/false, fxi, fyi, fzi,
-                                             unused);
-      }
-    }
-    facc.add(i, 0, fxi);
-    facc.add(i, 1, fyi);
-    facc.add(i, 2, fzi);
+    detail::pair_row<true, false>(views, facc, func, i, use_simd,
+                                  /*eflag=*/false, unused);
   };
   s.epilogue = [fscatter] { fscatter->contribute(); };
   batch.add(std::move(s));
-  atom.template modified<Space>(F_MASK);
+  sim.atom.template modified<Space>(F_MASK);
 }
 
 template class PairLJCutKokkos<kk::Host>;

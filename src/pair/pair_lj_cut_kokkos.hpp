@@ -14,7 +14,8 @@
 
 namespace mlk {
 
-/// Device-copyable coefficient functor for LJ.
+/// Device-copyable coefficient functor for LJ: the functor contract of
+/// pair_compute_kokkos.hpp.
 struct LJFunctor {
   kk::View<double, 2> d_cutsq, d_lj1, d_lj2, d_lj3, d_lj4;
 
@@ -29,16 +30,10 @@ struct LJFunctor {
             d_lj2(std::size_t(itype), std::size_t(jtype))) *
            r2inv;
   }
-  double evdwl(double rsq, int itype, int jtype) const {
-    const double r2inv = 1.0 / rsq;
-    const double r6inv = r2inv * r2inv * r2inv;
-    return r6inv * (d_lj3(std::size_t(itype), std::size_t(jtype)) * r6inv -
-                    d_lj4(std::size_t(itype), std::size_t(jtype)));
-  }
   /// Fused force+energy evaluation: shares the r^-2/r^-6 intermediates
-  /// between the two results instead of recomputing them per tally. The
-  /// returned force magnitude is the same expression as fpair(), so fused
-  /// and unfused paths produce bitwise-identical forces.
+  /// between the two results. The returned force magnitude is the same
+  /// expression as fpair(), so tally and no-tally steps produce
+  /// bitwise-identical forces.
   double fpair_ev(double rsq, int itype, int jtype, double& evdwl_out) const {
     const double r2inv = 1.0 / rsq;
     const double r6inv = r2inv * r2inv * r2inv;

@@ -477,7 +477,7 @@ void SNAKokkos<Space>::compute_fused_deidrj(Atom& atom, double virial_out[6]) {
   EV total;
   kk::parallel_reduce(
       "SNAP::ComputeFusedDeidrj", policy,
-      [=](const kk::TeamMember& m, EV& ev) {
+      [=, this](const kk::TeamMember& m, EV& ev) {
         const std::size_t i = m.league_rank() / std::size_t(maxneigh);
         const int jj = int(m.league_rank() % std::size_t(maxneigh));
         if (jj >= nn(i)) return;

@@ -44,13 +44,13 @@ CoordCapture::Buf CoordCapture::begin(std::size_t natoms) {
     const std::size_t cap = natoms + natoms / 2 + 16;
     auto x = std::make_unique<double[]>(3 * cap);
     auto tag = std::make_unique<std::int64_t[]>(cap);
-    s.x.store(x.get(), std::memory_order_relaxed);
-    s.tag.store(tag.get(), std::memory_order_relaxed);
+    s.x.store(x.get(), std::memory_order_release);
+    s.tag.store(tag.get(), std::memory_order_release);
     s.cap = cap;
     x_storage_.push_back(std::move(x));
     tag_storage_.push_back(std::move(tag));
   }
-  s.n = natoms;
+  s.n.store(natoms, std::memory_order_release);
   return Buf{s.x.load(std::memory_order_relaxed),
              s.tag.load(std::memory_order_relaxed)};
 }
@@ -58,8 +58,9 @@ CoordCapture::Buf CoordCapture::begin(std::size_t natoms) {
 void CoordCapture::end(std::int64_t step, const double prd[3]) {
   const std::uint64_t w = count_.load(std::memory_order_relaxed);
   Slot& s = slots_[w & 1];
-  s.step = step;
-  for (int d = 0; d < 3; ++d) s.prd[d] = prd[d];
+  s.step.store(step, std::memory_order_relaxed);
+  for (int d = 0; d < 3; ++d)
+    s.prd[d].store(prd[d], std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   s.stamp.store(2 * w + 2, std::memory_order_release);
   count_.store(w + 1, std::memory_order_release);
@@ -74,13 +75,17 @@ bool CoordCapture::read(Snapshot& out) const {
     const Slot& s = slots_[w & 1];
     const std::uint64_t want = 2 * w + 2;
     if (s.stamp.load(std::memory_order_acquire) != want) continue;
-    const std::size_t n = s.n;
-    const double* x = s.x.load(std::memory_order_relaxed);
-    const std::int64_t* tag = s.tag.load(std::memory_order_relaxed);
-    const std::int64_t step = s.step;
-    double prd[3] = {s.prd[0], s.prd[1], s.prd[2]};
-    out.x.assign(x, x + 3 * n);
-    out.tag.assign(tag, tag + n);
+    const std::size_t n = s.n.load(std::memory_order_acquire);
+    const double* x = s.x.load(std::memory_order_acquire);
+    const std::int64_t* tag = s.tag.load(std::memory_order_acquire);
+    const std::int64_t step = s.step.load(std::memory_order_relaxed);
+    double prd[3];
+    for (int d = 0; d < 3; ++d)
+      prd[d] = s.prd[d].load(std::memory_order_relaxed);
+    out.x.resize(3 * n);
+    for (std::size_t k = 0; k < 3 * n; ++k) out.x[k] = load_relaxed(x[k]);
+    out.tag.resize(n);
+    for (std::size_t k = 0; k < n; ++k) out.tag[k] = load_relaxed(tag[k]);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (s.stamp.load(std::memory_order_relaxed) != want) continue;  // torn
     out.step = step;

@@ -117,10 +117,21 @@ class CoordCapture {
   };
 
   /// Producer: begin a capture of `natoms` atoms; fill the returned buffers
-  /// (x: 3*natoms doubles, tag: natoms entries), then call end().
+  /// (x: 3*natoms doubles, tag: natoms entries) through set(), then call
+  /// end().
   struct Buf {
     double* x = nullptr;
     std::int64_t* tag = nullptr;
+    /// Atom i's coordinates and tag, stored as relaxed atomics: a reader
+    /// may be copying this slot concurrently (its stamp check discards
+    /// that copy).
+    void set(std::size_t i, double x0, double x1, double x2,
+             std::int64_t t) const {
+      store_relaxed(x[3 * i + 0], x0);
+      store_relaxed(x[3 * i + 1], x1);
+      store_relaxed(x[3 * i + 2], x2);
+      store_relaxed(tag[i], t);
+    }
   };
   Buf begin(std::size_t natoms);
   void end(std::int64_t step, const double prd[3]);
@@ -136,14 +147,18 @@ class CoordCapture {
   }
 
  private:
+  // Everything a reader copies is atomic; the stamp says whether the copy
+  // is one whole capture. The arrays are published (release) before the
+  // count that indexes them, so a reader that sees a count also sees
+  // arrays large enough for it.
   struct Slot {
     std::atomic<std::uint64_t> stamp{0};
     std::atomic<double*> x{nullptr};
     std::atomic<std::int64_t*> tag{nullptr};
     std::size_t cap = 0;  // atoms the arrays can hold (producer-only)
-    std::size_t n = 0;    // atoms in this capture (stamp-guarded)
-    std::int64_t step = -1;
-    double prd[3] = {0.0, 0.0, 0.0};
+    std::atomic<std::size_t> n{0};  // atoms in this capture
+    std::atomic<std::int64_t> step{-1};
+    std::atomic<double> prd[3] = {0.0, 0.0, 0.0};
   };
 
   Slot slots_[2];

@@ -4,9 +4,9 @@
 // Design goals, in priority order:
 //
 //   1. The producer (a Verlet step loop, the batch scheduler) is WAIT-FREE:
-//      push() is a bounded straight-line sequence of plain stores and atomic
-//      stores — no loops, no CAS retries, no locks, no allocation, no
-//      syscalls. A stalled (or absent) consumer can never slow a step.
+//      push() is a fixed-length sequence of atomic stores — no retry loops,
+//      no CAS, no locks, no allocation, no syscalls. A stalled (or absent)
+//      consumer can never slow a step.
 //   2. Backpressure is DROP-OLDEST: when the consumer falls behind by more
 //      than the capacity, the producer simply overwrites the oldest unread
 //      slot. Freshness beats completeness for live observability — a
@@ -29,6 +29,10 @@
 //              head <- seq+1 (release)
 //   consumer:  a read of generation seq is valid iff slot.stamp == 2*seq+2
 //              both before and after the payload copy (acquire ordering).
+// The payload copy on both sides is a sequence of relaxed atomic word
+// accesses (load_relaxed/store_relaxed below): the consumer's copy may race
+// with a lapping producer by design, and only atomic accesses make that
+// race defined behaviour. On x86-64 they compile to the same plain moves.
 //
 // Single producer, single consumer. "Single producer" means no two threads
 // push concurrently; handing the producer role across threads is fine when
@@ -39,10 +43,24 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
 namespace mlk::tools::telemetry {
+
+/// Seqlock payload access: a relaxed atomic store/load of one word that a
+/// concurrent reader/writer may touch. The stamp protocol, not these
+/// accesses, orders the payload; they only keep the race defined.
+template <typename W>
+inline void store_relaxed(W& dst, W v) {
+  std::atomic_ref<W>(dst).store(v, std::memory_order_relaxed);
+}
+template <typename W>
+inline W load_relaxed(const W& src) {
+  return std::atomic_ref<W>(const_cast<W&>(src))
+      .load(std::memory_order_relaxed);
+}
 
 template <typename T>
 class TelemetryRing {
@@ -63,13 +81,16 @@ class TelemetryRing {
 
   std::size_t capacity() const { return cap_; }
 
-  /// Producer side. Wait-free: bounded straight-line code, no loops.
+  /// Producer side. Wait-free: a fixed number of stores, no retry loops.
   void push(const T& v) {
     const std::uint64_t w = head_.load(std::memory_order_relaxed);
     Slot& s = slots_[w & mask_];
     s.stamp.store(2 * w + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
-    s.value = v;
+    std::uint64_t words[kWords] = {};
+    std::memcpy(words, &v, sizeof(T));
+    for (std::size_t k = 0; k < kWords; ++k)
+      store_relaxed(s.words[k], words[k]);
     std::atomic_thread_fence(std::memory_order_release);
     s.stamp.store(2 * w + 2, std::memory_order_release);
     head_.store(w + 1, std::memory_order_release);
@@ -124,9 +145,13 @@ class TelemetryRing {
   }
 
  private:
+  // The payload is stored as whole words so each can be copied atomically.
+  static constexpr std::size_t kWords =
+      (sizeof(T) + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t);
+
   struct Slot {
     std::atomic<std::uint64_t> stamp{0};  // 0 = never written
-    T value{};
+    std::uint64_t words[kWords] = {};
   };
 
   static std::size_t round_up_pow2(std::size_t n) {
@@ -139,9 +164,13 @@ class TelemetryRing {
     const Slot& s = slots_[seq & mask_];
     const std::uint64_t want = 2 * seq + 2;
     if (s.stamp.load(std::memory_order_acquire) != want) return false;
-    out = s.value;
+    std::uint64_t words[kWords];
+    for (std::size_t k = 0; k < kWords; ++k)
+      words[k] = load_relaxed(s.words[k]);
     std::atomic_thread_fence(std::memory_order_acquire);
-    return s.stamp.load(std::memory_order_relaxed) == want;
+    if (s.stamp.load(std::memory_order_relaxed) != want) return false;
+    std::memcpy(&out, words, sizeof(T));
+    return true;
   }
 
   const std::size_t cap_;

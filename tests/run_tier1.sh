@@ -3,6 +3,8 @@
 #
 #   tests/run_tier1.sh            # RelWithDebInfo build in build/
 #   tests/run_tier1.sh --asan     # AddressSanitizer build in build-asan/
+#   tests/run_tier1.sh --tsan     # ThreadSanitizer build in build-tsan/, full
+#                                 # minilmp_tests; any race report fails
 #   tests/run_tier1.sh --filter 'BitwiseResume.*'   # subset via gtest filter
 #   tests/run_tier1.sh --profile  # observability smoke: traced melt run,
 #                                 # trace JSON validated with validate_trace
@@ -42,12 +44,21 @@ server_smoke=0
 telemetry_smoke=0
 simd_smoke=0
 balance_smoke=0
+tsan=0
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --asan)
       build_dir="$repo/build-asan"
       cmake_args+=(-DMLK_SANITIZE=address)
+      shift
+      ;;
+    --tsan)
+      build_dir="$repo/build-tsan"
+      cmake_args+=(-DMLK_SANITIZE=thread)
+      # The first race report aborts the process with a non-zero exit.
+      export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
+      tsan=1
       shift
       ;;
     --filter)
@@ -176,6 +187,9 @@ elif [[ "$balance_smoke" == 1 ]]; then
   echo "balance smoke: OK"
 elif [[ -n "$gtest_filter" ]]; then
   "$build_dir/tests/minilmp_tests" --gtest_filter="$gtest_filter"
+elif [[ "$tsan" == 1 ]]; then
+  "$build_dir/tests/minilmp_tests"
+  echo "tsan: OK"
 else
   ctest --test-dir "$build_dir" --output-on-failure
 fi

@@ -13,6 +13,7 @@
 #include "server/job_queue.hpp"
 #include "server/jobset_io.hpp"
 #include "server/scheduler.hpp"
+#include "test_helpers.hpp"
 
 namespace mlk {
 namespace {
@@ -195,7 +196,7 @@ TEST(ServerSmoke, FourJobsCompleteWithConservedEnergy) {
 // Each job's trajectory must be bitwise identical whether it runs alone or
 // co-scheduled with different neighbors — with batching and fan-out on, so
 // the fused zero+force launch and the pooled instances are both on trial.
-TEST(ServerIsolation, BitwiseIdenticalSoloVsCoScheduled) {
+void expect_cohort_matches_solo() {
   init_all();
   // Different sizes, temperatures and cutoffs: neighbors differ in shape,
   // and the mixed cutoffs exercise per-slice (not per-batch) coefficients.
@@ -229,6 +230,22 @@ TEST(ServerIsolation, BitwiseIdenticalSoloVsCoScheduled) {
     expect_rows_identical(solo[i].rows, r.thermo);
     expect_state_identical(solo[i].state_xv, r.state_xv);
   }
+}
+
+TEST(ServerIsolation, BitwiseIdenticalSoloVsCoScheduled) {
+  expect_cohort_matches_solo();
+}
+
+// The same cohort on the packed row walk: the solo kernel and the fused
+// slice take the SIMD branch of the same row body.
+TEST(ServerIsolation, BitwiseIdenticalSoloVsCoScheduledSimdOn) {
+  testing::SimdGuard guard;
+  kk::set_simd_enabled(true);
+  const std::uint64_t batch_before =
+      testing::simd_launches("PairComputeLJCut<Device>::batch");
+  expect_cohort_matches_solo();
+  EXPECT_GT(testing::simd_launches("PairComputeLJCut<Device>::batch"),
+            batch_before);
 }
 
 // Same guarantee with fan-out off (sequential phases on the scheduler

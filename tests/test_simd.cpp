@@ -17,12 +17,7 @@ namespace {
 using pd = kk::simd<double, 4>;
 using pm = kk::simd_mask<4>;
 
-/// Restores the runtime SIMD toggle on scope exit so tests can flip it
-/// freely without leaking state into other suites (default is off).
-struct SimdGuard {
-  bool was = kk::simd_enabled();
-  ~SimdGuard() { kk::set_simd_enabled(was); }
-};
+using testing::SimdGuard;
 
 TEST(SimdPack, BroadcastLoadStoreRoundTrip) {
   const double src[4] = {1.5, -2.0, 3.25, 0.0};
