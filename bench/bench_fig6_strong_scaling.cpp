@@ -98,11 +98,11 @@ DropletResult run_droplet(int nranks, int cells, int steps, bool balance) {
 
     sim.allreduce_sum(1.0);
     const double before =
-        sim.timers.total("Pair") + sim.timers.total("Neigh");
+        sim.timers.total(Section::Pair) + sim.timers.total(Section::Neigh);
     in.line("run " + std::to_string(steps));
     sim.allreduce_sum(1.0);
-    const double bucket =
-        sim.timers.total("Pair") + sim.timers.total("Neigh") - before;
+    const double bucket = sim.timers.total(Section::Pair) +
+                          sim.timers.total(Section::Neigh) - before;
 
     std::lock_guard<std::mutex> lk(mu);
     max_bucket = std::max(max_bucket, bucket);

@@ -64,12 +64,12 @@ RunResult run_melt(int nranks, int cells, int steps, bool overlap,
     in.line("run 10");  // warmup: setup, first rebuilds, pool spin-up
 
     sim.allreduce_sum(1.0);  // align ranks before timing
-    const double comm_before = sim.timers.total("Comm");
+    const double comm_before = sim.timers.total(mlk::Section::Comm);
     mlk::Timer t;
     in.line("run " + std::to_string(steps));
     sim.allreduce_sum(1.0);
     const double sec = t.seconds();
-    const double comm_after = sim.timers.total("Comm");
+    const double comm_after = sim.timers.total(mlk::Section::Comm);
 
     std::lock_guard<std::mutex> lk(mu);
     if (comm.rank() == 0) {

@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(sim.atom.natoms), steps,
               sim.pair->style_name.c_str());
   std::printf("Timing breakdown (s): Pair %.3f  Neigh %.3f  Comm %.3f\n",
-              sim.timers.total("Pair"), sim.timers.total("Neigh"),
-              sim.timers.total("Comm"));
+              sim.timers.total(mlk::Section::Pair),
+              sim.timers.total(mlk::Section::Neigh),
+              sim.timers.total(mlk::Section::Comm));
   return 0;
 }

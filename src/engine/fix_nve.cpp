@@ -6,40 +6,6 @@
 
 namespace mlk {
 
-void FixNVE::initial_integrate(Simulation& sim) {
-  Atom& a = sim.atom;
-  a.sync<kk::Host>(X_MASK | V_MASK | F_MASK | TYPE_MASK);
-  auto x = a.k_x.h_view;
-  auto v = a.k_v.h_view;
-  auto f = a.k_f.h_view;
-  auto type = a.k_type.h_view;
-  const double dt = sim.dt;
-  const double dtf = 0.5 * dt * sim.units.ftm2v;
-  for (localint i = 0; i < a.nlocal; ++i) {
-    const double dtfm = dtf / a.mass_of_type(type(std::size_t(i)));
-    for (int d = 0; d < 3; ++d) {
-      v(std::size_t(i), std::size_t(d)) += dtfm * f(std::size_t(i), std::size_t(d));
-      x(std::size_t(i), std::size_t(d)) += dt * v(std::size_t(i), std::size_t(d));
-    }
-  }
-  a.modified<kk::Host>(X_MASK | V_MASK);
-}
-
-void FixNVE::final_integrate(Simulation& sim) {
-  Atom& a = sim.atom;
-  a.sync<kk::Host>(V_MASK | F_MASK | TYPE_MASK);
-  auto v = a.k_v.h_view;
-  auto f = a.k_f.h_view;
-  auto type = a.k_type.h_view;
-  const double dtf = 0.5 * sim.dt * sim.units.ftm2v;
-  for (localint i = 0; i < a.nlocal; ++i) {
-    const double dtfm = dtf / a.mass_of_type(type(std::size_t(i)));
-    for (int d = 0; d < 3; ++d)
-      v(std::size_t(i), std::size_t(d)) += dtfm * f(std::size_t(i), std::size_t(d));
-  }
-  a.modified<kk::Host>(V_MASK);
-}
-
 template <class Space>
 void FixNVEKokkos<Space>::initial_integrate(Simulation& sim) {
   Atom& a = sim.atom;
@@ -89,7 +55,7 @@ template class FixNVEKokkos<kk::Device>;
 void register_fix_nve() {
   auto& reg = StyleRegistry::instance();
   reg.add_fix("nve", [](ExecSpaceKind) -> std::unique_ptr<Fix> {
-    return std::make_unique<FixNVE>();
+    return std::make_unique<FixNVEKokkos<kk::Host>>();
   });
   reg.add_fix_kokkos("nve", [](ExecSpaceKind space) -> std::unique_ptr<Fix> {
     if (space == ExecSpaceKind::Host)

@@ -1,20 +1,14 @@
 // fix nve — microcanonical velocity-Verlet integration.
 //
-// FixNVE is the legacy host implementation operating on host views;
 // FixNVEKokkos is templated on the execution space and dual-instantiated
-// (Host + Device), selectable as nve/kk, nve/kk/host, nve/kk/device (§3.3).
+// (Host + Device), selectable as nve/kk, nve/kk/host, nve/kk/device (§3.3);
+// plain `nve` is the Host instantiation.
 #pragma once
 
 #include "engine/fix.hpp"
 #include "engine/pair.hpp"
 
 namespace mlk {
-
-class FixNVE : public Fix {
- public:
-  void initial_integrate(Simulation& sim) override;
-  void final_integrate(Simulation& sim) override;
-};
 
 template <class Space>
 class FixNVEKokkos : public Fix {

@@ -14,6 +14,32 @@
 
 namespace mlk {
 
+namespace {
+
+/// The one section clock: adds the scope's seconds to its Section and
+/// brackets them with the section's trace region, so the breakdown,
+/// telemetry and the trace all see the same boundaries.
+class SectionScope {
+ public:
+  SectionScope(TimerSet& timers, Section s) : timers_(timers), s_(s) {
+    kk::profiling::push_region(kSectionRegions[std::size_t(s)]);
+    t_.start();
+  }
+  ~SectionScope() {
+    timers_.add(s_, t_.seconds());
+    kk::profiling::pop_region();
+  }
+  SectionScope(const SectionScope&) = delete;
+  SectionScope& operator=(const SectionScope&) = delete;
+
+ private:
+  TimerSet& timers_;
+  Section s_;
+  Timer t_;
+};
+
+}  // namespace
+
 Simulation::Simulation() {
   units = Units::make("lj");
   fault.arm_from_env();
@@ -82,8 +108,7 @@ bigint Simulation::global_natoms() {
 }
 
 void Simulation::rebuild_neighbors() {
-  kk::profiling::ScopedRegion region("Verlet::neighbor");
-  ScopedTimer t(timers, "Neigh");
+  SectionScope section(timers, Section::Neigh);
   atom.clear_ghosts();
 
   // Load balancing happens at rebuilds, where ghosts are already dropped and
@@ -166,7 +191,6 @@ kk::DeviceInstance& Simulation::instance_comm() {
 }
 
 void Simulation::compute_forces_overlap(bool eflag) {
-  kk::profiling::ScopedRegion region("Verlet::force_overlap");
   kk::DeviceInstance& ic = instance_compute();
   kk::DeviceInstance& cc = instance_comm();
 
@@ -175,7 +199,7 @@ void Simulation::compute_forces_overlap(bool eflag) {
   // with the halo exchange below. All DualView flag bookkeeping happens
   // inside compute_interior on this thread before the task is enqueued.
   {
-    ScopedTimer t(timers, "Pair");
+    SectionScope section(timers, Section::Pair);
     pair->compute_interior(*this, eflag, ic);
   }
 
@@ -183,7 +207,7 @@ void Simulation::compute_forces_overlap(bool eflag) {
   // rows (index >= nlocal) that the interior kernel never reads, so the two
   // tasks are data-race free. The Comm bucket charges the caller's wait.
   {
-    ScopedTimer t(timers, "Comm");
+    SectionScope section(timers, Section::Comm);
     Atom* a = &atom;
     CommBrick* c = &comm;
     cc.enqueue("CommBrick::forward_positions", [a, c] {
@@ -197,20 +221,21 @@ void Simulation::compute_forces_overlap(bool eflag) {
   // done. Fence only the instances this phase launched on — never the
   // global device — so an unrelated instance (e.g. a tool's) keeps running.
   {
-    ScopedTimer t(timers, "Pair");
+    SectionScope section(timers, Section::Pair);
     ic.fence();
     pair->compute_boundary(*this, eflag);
   }
 
-  for (auto& fix : fixes) fix->post_force(*this);
+  // supports_overlap requires a full list and no reverse comm, so this
+  // runs only the post_force hooks.
+  finish_external_forces();
 }
 
 void Simulation::compute_forces(bool eflag) {
-  kk::profiling::ScopedRegion region("Verlet::force");
-  // Pair and Comm buckets are disjoint (the end-of-run breakdown sums them
-  // against loop time), so the Pair timer closes before reverse comm runs.
+  // Sections are disjoint (the end-of-run breakdown sums them against loop
+  // time), so Pair closes before reverse comm runs.
   {
-    ScopedTimer t(timers, "Pair");
+    SectionScope section(timers, Section::Pair);
     // Zero forces in the pair style's execution space over owned + ghosts.
     if (pair->execution_space == ExecSpaceKind::Device)
       atom.zero_forces<kk::Device>();
@@ -219,15 +244,7 @@ void Simulation::compute_forces(bool eflag) {
 
     pair->compute(*this, eflag);
   }
-
-  // Ghost forces fold back onto their owners: half lists exploiting
-  // Newton's third law, plus any style that writes ghost forces directly.
-  if ((neighbor.style == NeighStyle::Half && neighbor.newton) ||
-      pair->needs_reverse_comm) {
-    ScopedTimer tc(timers, "Comm");
-    comm.reverse_forces(atom);
-  }
-  for (auto& fix : fixes) fix->post_force(*this);
+  finish_external_forces();
 }
 
 void Simulation::prepare_run() {
@@ -247,11 +264,14 @@ void Simulation::run(bigint nsteps) {
 }
 
 void Simulation::finish_external_forces() {
+  // Ghost forces fold back onto their owners: half lists exploiting
+  // Newton's third law, plus any style that writes ghost forces directly.
   if ((neighbor.style == NeighStyle::Half && neighbor.newton) ||
       pair->needs_reverse_comm) {
-    ScopedTimer tc(timers, "Comm");
+    SectionScope section(timers, Section::Comm);
     comm.reverse_forces(atom);
   }
+  SectionScope section(timers, Section::Modify);
   for (auto& fix : fixes) fix->post_force(*this);
 }
 
@@ -304,20 +324,18 @@ void Verlet::begin(bigint nsteps) {
   if (sim.telemetry) {
     tel::SimTelemetry& t = *sim.telemetry;
     t.prev_wall_s = 0.0;
-    t.prev_pair_s = sim.timers.total("Pair");
-    t.prev_neigh_s = sim.timers.total("Neigh");
-    t.prev_comm_s = sim.timers.total("Comm");
     t.prev_launches = kk::profiling::total_launches_relaxed();
     t.prev_device_launches = kk::profiling::total_device_launches_relaxed();
-    t.prev_valid = true;
   }
 
+  // The first row precedes the loop clock, so no section times it (LAMMPS
+  // prints it during setup).
   sim.thermo.header();
   sim.thermo.record(sim);
 
   // The end-of-run breakdown reports this run only: remember what each
-  // bucket held when the loop started and subtract at the end.
-  timers_before_ = sim.timers.all();
+  // section held when the loop started and subtract at the end.
+  timers_before_ = sim.timers;
   nbuilds_before_ = sim.neighbor.nbuilds;
   ndanger_before_ = sim.neighbor.ndanger;
   nretries_before_ = sim.neighbor.nretries;
@@ -329,6 +347,8 @@ Verlet::Phase Verlet::step_begin() {
   ++sim.ntimestep;
   ++step_;
 
+  step_timers_ = sim.timers;  // publish_telemetry's per-step base
+
   Phase p;
   // Periodic checkpoint this step? Decided up front: the write happens at
   // end of step, but the step must also force a neighbor rebuild so a run
@@ -338,7 +358,7 @@ Verlet::Phase Verlet::step_begin() {
                  sim.ntimestep % sim.restart_every == 0;
 
   {
-    kk::profiling::ScopedRegion r("Verlet::initial_integrate");
+    SectionScope section(sim.timers, Section::Modify);
     for (auto& fix : sim.fixes) fix->initial_integrate(sim);
   }
 
@@ -372,8 +392,7 @@ Verlet::Phase Verlet::step_begin() {
     // with the interior pair kernel (docs/EXECUTION_MODEL.md).
     p.overlap = true;
   } else {
-    kk::profiling::ScopedRegion r("Verlet::comm");
-    ScopedTimer t(sim.timers, "Comm");
+    SectionScope section(sim.timers, Section::Comm);
     sim.comm.forward_positions(sim.atom);
   }
   return p;
@@ -390,21 +409,17 @@ void Verlet::step_force(const Phase& p) {
 void Verlet::step_end(const Phase& p) {
   Simulation& sim = sim_;
   {
-    kk::profiling::ScopedRegion r("Verlet::final_integrate");
+    SectionScope section(sim.timers, Section::Modify);
     for (auto& fix : sim.fixes) fix->final_integrate(sim);
     for (auto& fix : sim.fixes) fix->end_of_step(sim);
   }
 
-  if (p.checkpoint) {
-    kk::profiling::ScopedRegion r("Verlet::output");
-    ScopedTimer t(sim.timers, "Output");
-    io::RestartWriter().write(
-        sim, io::checkpoint_base(sim.restart_base, sim.ntimestep));
-  }
-
-  if (p.eflag) {
-    kk::profiling::ScopedRegion r("Verlet::output");
-    sim.thermo.record(sim);
+  if (p.checkpoint || p.eflag) {
+    SectionScope section(sim.timers, Section::Output);
+    if (p.checkpoint)
+      io::RestartWriter().write(
+          sim, io::checkpoint_base(sim.restart_base, sim.ntimestep));
+    if (p.eflag) sim.thermo.record(sim);
   }
 
   publish_telemetry(p);
@@ -416,14 +431,14 @@ void Verlet::publish_telemetry(const Phase& p) {
   if (!sim.telemetry || !tel::active()) return;
   tel::SimTelemetry& t = *sim.telemetry;
 
-  // Per-step deltas against the producer bookkeeping. The launch counters
-  // are process-global relaxed atomics, so under the batch server a step's
-  // delta includes concurrent jobs' launches — live telemetry trades exact
-  // attribution for a wait-free producer path. Clamp against reset().
+  // Per-step deltas: section seconds since step start; wall time and
+  // launches since the last sample (the producer bookkeeping). The launch
+  // counters are process-global relaxed atomics, so under the batch server
+  // a step's delta includes concurrent jobs' launches — live telemetry
+  // trades exact attribution for a wait-free producer path. Clamp against
+  // reset().
   const double wall = loop_timer_.seconds();
-  const double pair = sim.timers.total("Pair");
-  const double neigh = sim.timers.total("Neigh");
-  const double comm = sim.timers.total("Comm");
+  const TimerSet sections = sim.timers.since(step_timers_);
   const std::uint64_t launches = kk::profiling::total_launches_relaxed();
   const std::uint64_t dev = kk::profiling::total_device_launches_relaxed();
 
@@ -431,9 +446,9 @@ void Verlet::publish_telemetry(const Phase& p) {
   s.step = sim.ntimestep;
   s.job_id = sim.telemetry_job_id;
   s.wall_ms = float((wall - t.prev_wall_s) * 1e3);
-  s.pair_ms = float((pair - t.prev_pair_s) * 1e3);
-  s.neigh_ms = float((neigh - t.prev_neigh_s) * 1e3);
-  s.comm_ms = float((comm - t.prev_comm_s) * 1e3);
+  s.pair_ms = float(sections.total(Section::Pair) * 1e3);
+  s.neigh_ms = float(sections.total(Section::Neigh) * 1e3);
+  s.comm_ms = float(sections.total(Section::Comm) * 1e3);
   s.launches = launches >= t.prev_launches
                    ? std::uint32_t(launches - t.prev_launches)
                    : 0;
@@ -447,9 +462,6 @@ void Verlet::publish_telemetry(const Phase& p) {
   t.steps.push(s);
 
   t.prev_wall_s = wall;
-  t.prev_pair_s = pair;
-  t.prev_neigh_s = neigh;
-  t.prev_comm_s = comm;
   t.prev_launches = launches;
   t.prev_device_launches = dev;
 
@@ -493,8 +505,8 @@ void Verlet::finish() {
   balance.nbalances = sim.balancer.nbalances;
   balance.nsorts = sim.sorter.nsorts;
 
-  sim.thermo.breakdown(sim, loop_timer_.seconds(), nsteps_, timers_before_,
-                       neigh, balance);
+  sim.thermo.breakdown(sim, loop_timer_.seconds(), nsteps_,
+                       sim.timers.since(timers_before_), neigh, balance);
 }
 
 void Verlet::run(bigint nsteps) {

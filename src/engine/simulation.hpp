@@ -147,14 +147,13 @@ class Simulation {
   void run(bigint nsteps);
 
   /// Evaluate forces for the current configuration (zeroes, pair->compute,
-  /// reverse communication when the list exploits Newton's third law).
+  /// then finish_external_forces()).
   void compute_forces(bool eflag);
 
-  /// Force-phase epilogue when the pair kernel itself ran externally — the
-  /// server's cross-job batched dispatch (docs/SERVER.md) computes pair
-  /// forces in a fused launch and then calls this for the tail of
-  /// compute_forces(): reverse force communication when the list needs it,
-  /// then the fixes' post_force hooks.
+  /// Force-phase epilogue: reverse force communication when the list needs
+  /// it, then the fixes' post_force hooks. Both force paths end with it, and
+  /// the server's cross-job batched dispatch (docs/SERVER.md) calls it after
+  /// computing pair forces in a fused launch.
   void finish_external_forces();
 
   // --- global diagnostics (allreduced across ranks when mpi is set) ---
@@ -230,7 +229,8 @@ class Verlet {
   Simulation& sim_;
   bigint nsteps_ = 0;
   bigint step_ = 0;
-  std::map<std::string, double> timers_before_;
+  TimerSet timers_before_;  // sim.timers at loop start
+  TimerSet step_timers_;    // sim.timers at step start
   bigint nbuilds_before_ = 0;
   bigint ndanger_before_ = 0;
   bigint nretries_before_ = 0;

@@ -43,23 +43,11 @@ void Thermo::record(Simulation& sim) {
 }
 
 void Thermo::breakdown(Simulation& sim, double loop_seconds, bigint nsteps,
-                       const std::map<std::string, double>& before,
-                       const NeighSummary& neigh,
+                       const TimerSet& run, const NeighSummary& neigh,
                        const BalanceSummary& balance) const {
   const bool is_rank0 = sim.mpi == nullptr || sim.mpi->rank() == 0;
   if (!print || !is_rank0 || nsteps <= 0) return;
 
-  auto delta = [&](const char* name) {
-    double b = 0.0;
-    auto it = before.find(name);
-    if (it != before.end()) b = it->second;
-    return sim.timers.total(name) - b;
-  };
-
-  static const char* kSections[] = {"Pair", "Neigh", "Comm", "Output"};
-  double accounted = 0.0;
-  for (const char* s : kSections) accounted += delta(s);
-  const double other = loop_seconds > accounted ? loop_seconds - accounted : 0.0;
   const double per_step_ms = 1e3 / double(nsteps);
   const double pct = loop_seconds > 0.0 ? 100.0 / loop_seconds : 0.0;
 
@@ -69,11 +57,14 @@ void Thermo::breakdown(Simulation& sim, double loop_seconds, bigint nsteps,
   std::printf("%-8s | %12s | %7s | %14s\n", "Section", "time (s)", "%loop",
               "per-step (ms)");
   std::printf("---------+--------------+---------+---------------\n");
-  for (const char* s : kSections) {
-    const double t = delta(s);
-    std::printf("%-8s | %12.6f | %6.2f%% | %14.6f\n", s, t, t * pct,
-                t * per_step_ms);
+  double accounted = 0.0;
+  for (std::size_t k = 0; k < kNumSections; ++k) {
+    const double t = run.total(Section(k));
+    accounted += t;
+    std::printf("%-8s | %12.6f | %6.2f%% | %14.6f\n", kSectionNames[k], t,
+                t * pct, t * per_step_ms);
   }
+  const double other = loop_seconds > accounted ? loop_seconds - accounted : 0.0;
   std::printf("%-8s | %12.6f | %6.2f%% | %14.6f\n", "Other", other,
               other * pct, other * per_step_ms);
 

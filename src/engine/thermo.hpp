@@ -3,10 +3,9 @@
 // assertions about conservation and trajectories.
 #pragma once
 
-#include <map>
-#include <string>
 #include <vector>
 
+#include "util/timer.hpp"
 #include "util/types.hpp"
 
 namespace mlk {
@@ -50,14 +49,13 @@ class Thermo {
   /// Evaluate and record a row for the current step.
   void record(Simulation& sim);
 
-  /// LAMMPS-style end-of-run timing table (Pair/Neigh/Comm/Output/Other:
-  /// seconds, % of loop time, per-step average) plus the neighbor-build
-  /// summary (builds / dangerous builds / retries), printed on rank 0
-  /// after each `run`. `before` holds the TimerSet totals at loop start so
-  /// only this run's accumulation is reported.
+  /// LAMMPS-style end-of-run timing table (Pair/Neigh/Comm/Modify/Output/
+  /// Other: seconds, % of loop time, per-step average) plus the
+  /// neighbor-build summary (builds / dangerous builds / retries), printed
+  /// on rank 0 after each `run`. `run` holds the seconds each section
+  /// accumulated over this run only.
   void breakdown(Simulation& sim, double loop_seconds, bigint nsteps,
-                 const std::map<std::string, double>& before,
-                 const NeighSummary& neigh = {},
+                 const TimerSet& run, const NeighSummary& neigh = {},
                  const BalanceSummary& balance = {}) const;
 
   const std::vector<ThermoRow>& rows() const { return rows_; }

@@ -88,8 +88,10 @@ std::shared_ptr<const ToolVec> current_tools() {
 std::atomic<std::uint64_t> g_next_id{1};
 
 // Per-thread region stack so pop_region can hand tools the region name and
-// stay balanced (pops on an empty stack are ignored).
+// stay balanced (pops on an empty stack are ignored). Slots past the depth
+// keep their buffers, so a warm stack pushes without allocating.
 thread_local std::vector<std::string> t_region_stack;
+thread_local std::size_t t_region_depth = 0;
 
 // Thread identity.
 std::atomic<int> g_next_track{0};
@@ -281,22 +283,20 @@ void end_kernel(KernelType t, std::uint64_t kid) {
   }
 }
 
-void push_region(const std::string& name) {
-  if (!tooling_active()) {
-    // Keep the stack balanced even while no tool listens, so a tool
-    // registered mid-region still sees matched pops.
-    t_region_stack.push_back(name);
-    return;
-  }
-  t_region_stack.push_back(name);
+void push_region(std::string_view name) {
+  // Keep the stack balanced even while no tool listens, so a tool
+  // registered mid-region still sees matched pops.
+  if (t_region_depth == t_region_stack.size()) t_region_stack.emplace_back();
+  std::string& slot = t_region_stack[t_region_depth++];
+  slot.assign(name);
+  if (!tooling_active()) return;
   auto tools = current_tools();
-  for (const auto& tool : *tools) tool->push_region(name);
+  for (const auto& tool : *tools) tool->push_region(slot);
 }
 
 void pop_region() {
-  if (t_region_stack.empty()) return;
-  const std::string name = std::move(t_region_stack.back());
-  t_region_stack.pop_back();
+  if (t_region_depth == 0) return;
+  const std::string& name = t_region_stack[--t_region_depth];
   if (!tooling_active()) return;
   auto tools = current_tools();
   for (const auto& tool : *tools) tool->pop_region(name);

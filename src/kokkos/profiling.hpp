@@ -40,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace kk::profiling {
 
@@ -161,7 +162,7 @@ std::uint64_t begin_kernel(KernelType t, const std::string& name, bool device,
                            std::uint64_t items);
 void end_kernel(KernelType t, std::uint64_t kid);
 
-void push_region(const std::string& name);
+void push_region(std::string_view name);
 void pop_region();
 
 void allocate_data(const char* space, const std::string& label,
@@ -227,7 +228,7 @@ class ScopedKernel {
 /// Scoped named region (push/pop balanced under exceptions).
 class ScopedRegion {
  public:
-  explicit ScopedRegion(const std::string& name) { push_region(name); }
+  explicit ScopedRegion(std::string_view name) { push_region(name); }
   ~ScopedRegion() { pop_region(); }
   ScopedRegion(const ScopedRegion&) = delete;
   ScopedRegion& operator=(const ScopedRegion&) = delete;

@@ -185,12 +185,8 @@ struct SimTelemetry {
   // Producer bookkeeping for per-step deltas (set by Verlet::begin /
   // updated by the step publisher).
   double prev_wall_s = 0.0;
-  double prev_pair_s = 0.0;
-  double prev_neigh_s = 0.0;
-  double prev_comm_s = 0.0;
   std::uint64_t prev_launches = 0;
   std::uint64_t prev_device_launches = 0;
-  bool prev_valid = false;
 };
 
 /// Everything one batch-server Scheduler publishes.

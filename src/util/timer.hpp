@@ -1,9 +1,12 @@
 // Wall-clock timing helpers used by the thermo output and the bench harness.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace mlk {
 
@@ -22,30 +25,33 @@ class Timer {
   clock::time_point t0_;
 };
 
-/// Named accumulating timers, LAMMPS-style breakdown (Pair/Neigh/Comm/...).
+/// The timed sections of the Verlet loop, LAMMPS-style. Other is what the
+/// loop time leaves after all five; sections never nest.
+enum class Section { Pair, Neigh, Comm, Modify, Output };
+inline constexpr std::size_t kNumSections = 5;
+
+/// Breakdown row label and trace region name of each section, by Section.
+inline constexpr std::array<const char*, kNumSections> kSectionNames = {
+    "Pair", "Neigh", "Comm", "Modify", "Output"};
+inline constexpr std::array<const char*, kNumSections> kSectionRegions = {
+    "Verlet::force", "Verlet::neighbor", "Verlet::comm", "Verlet::modify",
+    "Verlet::output"};
+
+/// Seconds accumulated per section. A copy is a snapshot; since() diffs two.
 class TimerSet {
  public:
-  void add(const std::string& name, double seconds);
-  double total(const std::string& name) const;
-  const std::map<std::string, double>& all() const { return acc_; }
-  void clear() { acc_.clear(); }
+  void add(Section s, double seconds) { acc_[std::size_t(s)] += seconds; }
+  double total(Section s) const { return acc_[std::size_t(s)]; }
+  /// Seconds accumulated since `earlier`, a copy of this set taken before.
+  TimerSet since(const TimerSet& earlier) const;
+
+  /// By-name reads ("Pair", ...; unknown names read 0) for the perfbench
+  /// harness; engine code indexes by Section.
+  double total(std::string_view name) const;
+  std::map<std::string, double> all() const;
 
  private:
-  std::map<std::string, double> acc_;
-};
-
-/// RAII region timer accumulating into a TimerSet entry.
-class ScopedTimer {
- public:
-  ScopedTimer(TimerSet& set, std::string name) : set_(set), name_(std::move(name)) {}
-  ~ScopedTimer() { set_.add(name_, t_.seconds()); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerSet& set_;
-  std::string name_;
-  Timer t_;
+  std::array<double, kNumSections> acc_{};
 };
 
 }  // namespace mlk

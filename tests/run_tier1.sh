@@ -8,6 +8,7 @@
 #   tests/run_tier1.sh --filter 'BitwiseResume.*'   # subset via gtest filter
 #   tests/run_tier1.sh --profile  # observability smoke: traced melt run,
 #                                 # trace JSON validated with validate_trace
+#                                 # (tests/trace_smoke.sh)
 #   tests/run_tier1.sh --overlap  # overlapped-Verlet smoke: traced melt with
 #                                 # `overlap on` on a device-built list,
 #                                 # per-instance tracks required
@@ -101,26 +102,19 @@ cmake --build "$build_dir" -j "$(nproc)"
 
 if [[ "$profile_smoke" == 1 ]]; then
   # Run the melt example with the env-var trace hook enabled, then check the
-  # emitted chrome://tracing file contains kernel spans, Verlet-phase region
-  # spans, and at least one deep copy.
-  scratch="$(mktemp -d)"
-  trap 'rm -rf "$scratch"' EXIT
-  (cd "$scratch" &&
-   MLK_TRACE="$scratch/melt.trace.json" \
-     "$build_dir/examples/run_script" "$repo/examples/in.melt")
-  "$build_dir/tests/validate_trace" "$scratch/melt.trace.json"
+  # emitted chrome://tracing file contains kernel spans, Verlet section
+  # regions that never nest, and at least one deep copy.
+  bash "$repo/tests/trace_smoke.sh" \
+    "$build_dir/examples/run_script" "$build_dir/tests/validate_trace" \
+    "$repo/examples/in.melt"
   echo "profile smoke: OK"
 elif [[ "$overlap_smoke" == 1 ]]; then
   # Run the melt example through the overlapped Verlet loop with tracing on,
   # then require the per-instance thread tracks (compute + comm
   # kk::DeviceInstance) to show up with spans in the trace.
-  scratch="$(mktemp -d)"
-  trap 'rm -rf "$scratch"' EXIT
-  (cd "$scratch" &&
-   MLK_TRACE="$scratch/melt_overlap.trace.json" \
-     "$build_dir/examples/run_script" "$repo/examples/in.melt_overlap")
-  "$build_dir/tests/validate_trace" --require-instance-tracks \
-    "$scratch/melt_overlap.trace.json"
+  bash "$repo/tests/trace_smoke.sh" \
+    "$build_dir/examples/run_script" "$build_dir/tests/validate_trace" \
+    "$repo/examples/in.melt_overlap" --require-instance-tracks
   echo "overlap smoke: OK"
 elif [[ "$server_smoke" == 1 ]]; then
   # Submit 4 jobs through the batch scheduler (server_demo verifies correct,

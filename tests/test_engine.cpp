@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "engine/fix_nve.hpp"
 #include "pair/pair_lj_cut_kokkos.hpp"
 #include "test_helpers.hpp"
 
@@ -102,6 +103,10 @@ TEST(Registry, SuffixResolution) {
   EXPECT_EQ(dev2->execution_space, ExecSpaceKind::Device);
   auto plain = reg.create_pair("lj/cut");
   EXPECT_EQ(plain->execution_space, ExecSpaceKind::Host);
+  // Plain nve is the Host instantiation under its own name.
+  auto nve = reg.create_fix("nve");
+  EXPECT_NE(dynamic_cast<FixNVEKokkos<kk::Host>*>(nve.get()), nullptr);
+  EXPECT_EQ(nve->style_name, "nve");
 }
 
 TEST(Registry, GlobalSuffixUpgradesPlainNames) {

@@ -5,8 +5,10 @@
 // `trace` input-command round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -315,6 +317,27 @@ TEST(ChromeTraceTool, MeltTraceIsWellFormedAndComplete) {
   EXPECT_GT(regions, 0) << "trace must contain Verlet phase regions";
   EXPECT_TRUE(saw_verlet_force);
   EXPECT_GE(deep_copies, 1) << "trace must contain at least one deep copy";
+
+  // One section clock: a section region never opens inside another on the
+  // same thread, and the fix hooks run under Verlet::modify.
+  std::map<double, int> open_sections;  // tid -> open section regions
+  bool saw_modify = false;
+  for (const auto& e : events.arr) {
+    const std::string& name = e["name"].str;
+    if (e["cat"].str != "region" ||
+        std::find(kSectionRegions.begin(), kSectionRegions.end(), name) ==
+            kSectionRegions.end())
+      continue;
+    int& open = open_sections[e["tid"].number];
+    if (e["ph"].str == "B") {
+      EXPECT_EQ(open, 0) << name << " opened inside another section";
+      ++open;
+    } else {
+      --open;
+    }
+    saw_modify = saw_modify || name == "Verlet::modify";
+  }
+  EXPECT_TRUE(saw_modify);
   fs::remove(path);
 }
 

@@ -370,7 +370,10 @@ TEST(TelemetryHub, MeltRunStreamsSnapshotAndNdjson) {
   // Input-command activation path (same parser as MLK_TELEMETRY).
   in.line("telemetry " + path + ":interval_ms=5,coords_every=10,rdf_bins=20");
   ASSERT_TRUE(tel::active());
+  sim->setup();  // set-up's sections precede the run and its step records
+  const TimerSet before = sim->timers;
   in.line("run 40");
+  const TimerSet run = sim->timers.since(before);
   ASSERT_NE(sim->telemetry, nullptr);  // Verlet::begin attached to the hub
 
   tel::Hub::instance().drain_now();  // deterministic pass before we assert
@@ -414,6 +417,7 @@ TEST(TelemetryHub, MeltRunStreamsSnapshotAndNdjson) {
   std::string line;
   int steps = 0, thermos = 0, insitus = 0;
   std::int64_t last_step = -1;
+  double pair_ms = 0.0, neigh_ms = 0.0, comm_ms = 0.0;
   while (std::getline(nd, line)) {
     const json::Value v = json::parse(line);  // throws on a torn line
     const std::string& type = v["type"].str;
@@ -421,6 +425,9 @@ TEST(TelemetryHub, MeltRunStreamsSnapshotAndNdjson) {
       ++steps;
       EXPECT_GT(std::int64_t(v["step"].number), last_step);
       last_step = std::int64_t(v["step"].number);
+      pair_ms += v["pair_ms"].number;
+      neigh_ms += v["neigh_ms"].number;
+      comm_ms += v["comm_ms"].number;
     } else if (type == "thermo") {
       ++thermos;
     } else if (type == "insitu") {
@@ -430,6 +437,12 @@ TEST(TelemetryHub, MeltRunStreamsSnapshotAndNdjson) {
   EXPECT_EQ(steps, 40);
   EXPECT_GE(thermos, 4);
   EXPECT_GE(insitus, 1);
+  // One clock: the step records' section times add up to the run's timers
+  // (each record carries a float ms, hence the 1 us tolerance).
+  EXPECT_NEAR(pair_ms, 1e3 * run.total(Section::Pair), 1e-3);
+  EXPECT_NEAR(neigh_ms, 1e3 * run.total(Section::Neigh), 1e-3);
+  EXPECT_NEAR(comm_ms, 1e3 * run.total(Section::Comm), 1e-3);
+  EXPECT_GT(pair_ms, 0.0);
 
   std::remove(path.c_str());
   std::remove((path + ".ndjson").c_str());

@@ -1,8 +1,10 @@
 // validate_trace <trace.json> — tier-1 smoke checker for chrome://tracing
-// output (run_tier1.sh --profile / --overlap). Exits 0 iff the file parses
-// as JSON and the traceEvents array contains kernel spans, Verlet-phase
-// region spans, and at least one deep-copy span — the observable contract
-// of the profiling hook layer on a real run.
+// output (tests/trace_smoke.sh and the other smokes). Exits 0 iff the file
+// parses as JSON and the traceEvents array contains kernel spans,
+// Verlet-phase region spans, and at least one deep-copy span — the
+// observable contract of the profiling hook layer on a real run — and no
+// Verlet section region (kSectionRegions) opens inside another on the same
+// thread, so each section's time is counted once.
 //
 // With --require-instance-tracks it additionally demands the per-instance
 // thread tracks produced by the overlapped Verlet loop: at least two
@@ -16,15 +18,18 @@
 // one counter track exists (any traced run emits mem.* counters), and each
 // --require-counter=<name> demands a specific track (run_tier1.sh
 // --telemetry asks for telemetry.ring_drops).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "tools/json.hpp"
+#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   bool require_instances = false;
@@ -81,6 +86,8 @@ int main(int argc, char** argv) {
 
   int kernels = 0, verlet_regions = 0, deep_copies = 0;
   int instance_spans = 0;
+  int nested_sections = 0;
+  std::map<double, int> open_sections;  // tid -> open section regions
   int counters = 0, bad_counters = 0;
   std::set<std::string> counter_names;
   for (const auto& e : events.arr) {
@@ -95,6 +102,15 @@ int main(int argc, char** argv) {
     else if (cat == "deep_copy") ++deep_copies;
     else if (cat == "region" && e["name"].str.rfind("Verlet::", 0) == 0)
       ++verlet_regions;
+    if (cat == "region" &&
+        std::find(mlk::kSectionRegions.begin(), mlk::kSectionRegions.end(),
+                  e["name"].str) != mlk::kSectionRegions.end()) {
+      int& open = open_sections[e["tid"].number];
+      if (e["ph"].str == "B")
+        nested_sections += open++ > 0;
+      else
+        --open;
+    }
     if ((cat.rfind("kernel", 0) == 0 || cat == "region") &&
         instance_tids.count(e["tid"].number))
       ++instance_spans;
@@ -108,6 +124,13 @@ int main(int argc, char** argv) {
               counter_names.size());
   if (kernels == 0 || verlet_regions == 0 || deep_copies == 0) {
     std::fprintf(stderr, "validate_trace: missing required span kinds\n");
+    return 1;
+  }
+  if (nested_sections > 0) {
+    std::fprintf(stderr,
+                 "validate_trace: %d Verlet section regions opened inside "
+                 "another section\n",
+                 nested_sections);
     return 1;
   }
   if (require_instances && (instance_tids.size() < 2 || instance_spans == 0)) {
