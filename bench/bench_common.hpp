@@ -54,7 +54,7 @@ class Metrics {
     kk::profiling::deregister_tool(memory_);
     const std::string path = dir_ + "/" + name_ + ".metrics.json";
     if (extras_.empty()) {
-      mlk::tools::write_profile_json(path, *timer_, *memory_);
+      mlk::tools::write_profile_json(path, timer_->json_fragment(), *memory_);
     } else {
       std::ofstream f(path);
       f << "{\"kernels\":" << timer_->json_fragment()

@@ -4,10 +4,9 @@
 //
 // The disabled path must be a fast early-out (one relaxed atomic load — no
 // lock, no map, no string): the gate is <2% overhead versus executing the
-// same body inline, measured on a work-bearing kernel. The counting path is
-// sharded per thread (uncontended lock + one hash lookup), replacing the
-// seed's process-global mutex that serialized every dispatch in the
-// simulation.
+// same body inline, measured on a work-bearing kernel. The counting path
+// adds one or two relaxed fetch_adds on two process-wide totals; per-kernel
+// tables exist only in the opt-in KernelTimer tool (row three).
 //
 // Second gate: the live telemetry stream (docs/OBSERVABILITY.md). An LJ
 // melt stepped with the full hub active — wait-free ring publishes from the

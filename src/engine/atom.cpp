@@ -81,4 +81,41 @@ void Atom::zero_forces() {
 template void Atom::zero_forces<kk::Host>();
 template void Atom::zero_forces<kk::Device>();
 
+void Atom::reorder_owned(const std::vector<localint>& perm) {
+  require(nghost == 0, "reorder_owned: clear ghosts before sorting");
+  require(perm.size() == std::size_t(nlocal),
+          "reorder_owned: permutation size mismatch");
+  const std::size_t n = perm.size();
+  sync<kk::Host>(X_MASK | V_MASK | F_MASK | TYPE_MASK | TAG_MASK | Q_MASK);
+  auto x = k_x.h_view;
+  auto v = k_v.h_view;
+  auto f = k_f.h_view;
+  auto type = k_type.h_view;
+  auto tag = k_tag.h_view;
+  auto q = k_q.h_view;
+
+  std::vector<double> dtmp(3 * n);
+  auto gather3 = [&](auto view) {
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t d = 0; d < 3; ++d)
+        dtmp[3 * i + d] = view(std::size_t(perm[i]), d);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t d = 0; d < 3; ++d) view(i, d) = dtmp[3 * i + d];
+  };
+  gather3(x);
+  gather3(v);
+  gather3(f);
+
+  std::vector<int> itmp(n);
+  for (std::size_t i = 0; i < n; ++i) itmp[i] = type(std::size_t(perm[i]));
+  for (std::size_t i = 0; i < n; ++i) type(i) = itmp[i];
+  std::vector<tagint> ttmp(n);
+  for (std::size_t i = 0; i < n; ++i) ttmp[i] = tag(std::size_t(perm[i]));
+  for (std::size_t i = 0; i < n; ++i) tag(i) = ttmp[i];
+  for (std::size_t i = 0; i < n; ++i) dtmp[i] = q(std::size_t(perm[i]));
+  for (std::size_t i = 0; i < n; ++i) q(i) = dtmp[i];
+
+  modified<kk::Host>(X_MASK | V_MASK | F_MASK | TYPE_MASK | TAG_MASK | Q_MASK);
+}
+
 }  // namespace mlk

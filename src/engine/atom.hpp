@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "kokkos/dualview.hpp"
 #include "util/types.hpp"
@@ -69,6 +70,14 @@ class Atom {
 
   /// Drop all ghosts (before re-communicating borders).
   void clear_ghosts() { nghost = 0; }
+
+  /// Apply a permutation to the owned rows of every per-atom field:
+  /// new row i takes old row perm[i] for x/v/f/type/tag/q. `perm` must be a
+  /// bijection over [0, nlocal) and ghosts must be cleared (the spatial sort
+  /// runs between exchange and borders, where nghost == 0). All fields are
+  /// synced to host first and marked host-modified after, so both spaces
+  /// stay coherent through the DualView flags.
+  void reorder_owned(const std::vector<localint>& perm);
 
   /// Zero the force array over nall in the given space and mark modified.
   template <class Space>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "engine/atom_vec_kokkos.hpp"
 #include "kokkos/profiling.hpp"
 #include "util/error.hpp"
 
@@ -98,10 +97,7 @@ bool AtomSorter::maybe_sort(Atom& atom, const Domain& domain,
 
   kk::profiling::ScopedRegion region("AtomSorter::sort");
   atom.sync<kk::Host>(X_MASK);
-  const auto perm = path == Path::Scalar
-                        ? permutation_scalar(atom, domain, bin_width)
-                        : permutation_binned(atom, domain, bin_width);
-  AtomVecKokkos::reorder_owned(atom, perm);
+  atom.reorder_owned(permutation_binned(atom, domain, bin_width));
   ++nsorts;
   return true;
 }

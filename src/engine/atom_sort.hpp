@@ -4,12 +4,12 @@
 // sub-box, restoring the cache locality that particle diffusion destroys.
 //
 // Two permutation builders exist:
-//  * Scalar — std::stable_sort by bin key; the bitwise reference.
+//  * Scalar — std::stable_sort by bin key; the bitwise reference the tests
+//    compare Binned against.
 //  * Binned — bin-count + exclusive-scan + ordered fill (the counting-sort
-//    shape a device backend would use).
+//    shape a device backend would use); maybe_sort always uses it.
 // Both are stable by prior index within a bin, so they produce the *same*
-// permutation (tier-1 enforced); the sort never changes which permutation is
-// applied, only how it is computed.
+// permutation (tier-1 enforced).
 #pragma once
 
 #include <vector>
@@ -25,10 +25,6 @@ class AtomSorter {
   /// Sort cadence in neighbor rebuilds (`sort every <N>` / MLK_SORT=N;
   /// 0 = off).
   int every = 0;
-
-  /// Permutation builder: Scalar is the reference, Binned the default.
-  enum class Path { Scalar, Binned };
-  Path path = Path::Binned;
 
   bigint nsorts = 0;
   /// Rebuilds since the last sort — checkpointed (restart format v2) so a

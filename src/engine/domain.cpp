@@ -54,16 +54,6 @@ void Domain::remap(double* x) const {
   }
 }
 
-void Domain::minimum_image(double* dx) const {
-  for (int d = 0; d < 3; ++d) {
-    if (!periodic[d]) continue;
-    const double p = prd(d);
-    const double half = 0.5 * p;
-    while (dx[d] > half) dx[d] -= p;
-    while (dx[d] < -half) dx[d] += p;
-  }
-}
-
 bool Domain::inside_subbox(const double* x) const {
   for (int d = 0; d < 3; ++d)
     if (x[d] < sublo[d] || x[d] >= subhi[d]) return false;

@@ -47,9 +47,6 @@ class Domain {
   /// Remap a position into the primary box (periodic wrap).
   void remap(double* x) const;
 
-  /// Minimum-image displacement components for dx = xi - xj.
-  void minimum_image(double* dx) const;
-
   /// True if position is inside this rank's sub-box ([lo, hi) convention).
   bool inside_subbox(const double* x) const;
 

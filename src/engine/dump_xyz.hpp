@@ -21,8 +21,6 @@ class DumpXYZ : public Fix {
   void pack_restart(io::BinaryWriter& w) const override;
   void unpack_restart(io::BinaryReader& r) override;
 
-  bigint frames_written() const { return frames_; }
-
  private:
   void write_frame(Simulation& sim);
 

@@ -241,11 +241,17 @@ void Input::execute(const std::vector<std::string>& words) {
     } else if (sub == "dump") {
       require(sim_.profile_timer != nullptr, "profile dump: profiling is off "
               "(use 'profile on' before the run)");
+      // Every rank's timer sees all ranks' launches; a rank's file holds
+      // its own (its thread tag). Memory accounting is process-wide.
       std::string path = arg(2);
-      if (sim_.mpi && sim_.mpi->size() > 1)
+      std::string kernels;
+      if (sim_.mpi && sim_.mpi->size() > 1) {
         path += ".rank" + std::to_string(sim_.mpi->rank());
-      tools::write_profile_json(path, *sim_.profile_timer,
-                                *sim_.profile_memory);
+        kernels = sim_.profile_timer->json_fragment(sim_.mpi->rank());
+      } else {
+        kernels = sim_.profile_timer->json_fragment();
+      }
+      tools::write_profile_json(path, kernels, *sim_.profile_memory);
     } else {
       fatal("profile: unknown sub-command '" + sub + "'");
     }

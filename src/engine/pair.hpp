@@ -1,9 +1,9 @@
 // Pair style base class (the "pair style" category of §2.2).
 //
 // Concrete potentials (LJ, EAM, ReaxFF-lite, SNAP) override compute();
-// Kokkos-accelerated variants additionally set execution_space and their
-// datamasks, which the engine uses to drive DualView sync before/after the
-// force call — the flag mechanism of §3.2.
+// Kokkos-accelerated variants additionally set execution_space. Each
+// compute() syncs the fields it reads to its space by datamask and marks
+// the ones it writes modified — the flag mechanism of §3.2.
 #pragma once
 
 #include <string>
@@ -121,10 +121,6 @@ class Pair {
 
   /// Bonded styles that walk neighbor rows of ghost atoms (ReaxFF torsions).
   virtual bool ghost_rows_needed() const { return false; }
-
-  // Declared data access, consumed by the engine's sync logic.
-  unsigned datamask_read = X_MASK | TYPE_MASK;
-  unsigned datamask_modify = F_MASK;
 
   /// Execution space of the compute kernels (Host for legacy styles).
   ExecSpaceKind execution_space = ExecSpaceKind::Host;

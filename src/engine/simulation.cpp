@@ -324,8 +324,8 @@ void Verlet::begin(bigint nsteps) {
   if (sim.telemetry) {
     tel::SimTelemetry& t = *sim.telemetry;
     t.prev_wall_s = 0.0;
-    t.prev_launches = kk::profiling::total_launches_relaxed();
-    t.prev_device_launches = kk::profiling::total_device_launches_relaxed();
+    t.prev_launches = kk::profiling::total_launches();
+    t.prev_device_launches = kk::profiling::total_device_launches();
   }
 
   // The first row precedes the loop clock, so no section times it (LAMMPS
@@ -439,8 +439,8 @@ void Verlet::publish_telemetry(const Phase& p) {
   // reset().
   const double wall = loop_timer_.seconds();
   const TimerSet sections = sim.timers.since(step_timers_);
-  const std::uint64_t launches = kk::profiling::total_launches_relaxed();
-  const std::uint64_t dev = kk::profiling::total_device_launches_relaxed();
+  const std::uint64_t launches = kk::profiling::total_launches();
+  const std::uint64_t dev = kk::profiling::total_device_launches();
 
   tel::StepSample s;
   s.step = sim.ntimestep;

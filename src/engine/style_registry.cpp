@@ -102,15 +102,4 @@ std::unique_ptr<Compute> StyleRegistry::create_compute(
   return c;
 }
 
-bool StyleRegistry::has_pair(const std::string& name) const {
-  return pairs_.count(name) != 0;
-}
-
-std::vector<std::string> StyleRegistry::pair_names() const {
-  std::vector<std::string> out;
-  out.reserve(pairs_.size());
-  for (const auto& [k, v] : pairs_) out.push_back(k);
-  return out;
-}
-
 }  // namespace mlk

@@ -46,9 +46,6 @@ class StyleRegistry {
                                   const std::string& global_suffix = "");
   std::unique_ptr<Compute> create_compute(const std::string& name);
 
-  bool has_pair(const std::string& name) const;
-  std::vector<std::string> pair_names() const;
-
  private:
   struct PairEntry {
     PairCreator create;

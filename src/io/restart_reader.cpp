@@ -95,8 +95,7 @@ void RestartReader::read(Simulation& sim, const std::string& base) {
     sim.neighbor.canonical = r.get<std::uint8_t>() != 0;
     sim.sorter.every = int(r.get<std::int32_t>());
     sim.sorter.builds_since_sort = int(r.get<std::int32_t>());
-    sim.sorter.path = r.get<std::uint8_t>() == 0 ? AtomSorter::Path::Scalar
-                                                 : AtomSorter::Path::Binned;
+    r.get<std::uint8_t>();  // sort path: both builders agree, so unused
     sim.sorter.nsorts = r.get<bigint>();
     sim.balancer.enabled = r.get<std::uint8_t>() != 0;
     sim.balancer.thresh = r.get<double>();

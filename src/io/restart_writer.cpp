@@ -44,7 +44,7 @@ void RestartWriter::write(Simulation& sim, const std::string& base) {
   w.put(std::uint8_t(sim.neighbor.canonical ? 1 : 0));
   w.put(std::int32_t(sim.sorter.every));
   w.put(std::int32_t(sim.sorter.builds_since_sort));
-  w.put(std::uint8_t(sim.sorter.path == AtomSorter::Path::Scalar ? 0 : 1));
+  w.put(std::uint8_t(1));  // sort path: always binned (readers skip it)
   w.put(sim.sorter.nsorts);
   w.put(std::uint8_t(sim.balancer.enabled ? 1 : 0));
   w.put(sim.balancer.thresh);

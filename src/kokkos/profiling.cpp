@@ -2,61 +2,16 @@
 
 #include <cstdlib>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace kk::profiling {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Launch counting: per-thread shards. A shard's mutex is uncontended on the
-// owning thread's hot path (only snapshot/reset/merge ever take it from
-// another thread), so recording costs one uncontended lock + one hash lookup
-// instead of a process-global serialization point. Shards outlive their
-// threads (owned by the registry) so counts from finished simmpi rank
-// threads still appear in snapshots.
-// ---------------------------------------------------------------------------
-
-struct Shard {
-  std::mutex mu;
-  std::unordered_map<std::string, LaunchStat> stats;
-  std::uint64_t total = 0;
-  std::uint64_t total_device = 0;
-};
-
-struct CountState {
-  std::mutex registry_mu;
-  std::vector<std::unique_ptr<Shard>> shards;
-};
-
+// Launch counting: the one always-on count, two relaxed totals.
 std::atomic<bool> g_count_enabled{true};
-
-// Lock-free aggregate mirrors of the shard totals, for callers that cannot
-// afford the shard locks (the telemetry step publisher reads these on the
-// wait-free producer path).
-std::atomic<std::uint64_t> g_total_relaxed{0};
-std::atomic<std::uint64_t> g_total_device_relaxed{0};
-
-// Leaked on purpose: View deallocation events and shard merges can fire from
-// static destructors (e.g. cached PotentialStats holding Views); a leaked
-// state object keeps every ordering safe.
-CountState& count_state() {
-  static CountState* s = new CountState;
-  return *s;
-}
-
-Shard& my_shard() {
-  thread_local Shard* tl = nullptr;
-  if (!tl) {
-    auto owned = std::make_unique<Shard>();
-    tl = owned.get();
-    auto& cs = count_state();
-    std::lock_guard<std::mutex> lk(cs.registry_mu);
-    cs.shards.push_back(std::move(owned));
-  }
-  return *tl;
-}
+std::atomic<std::uint64_t> g_launches{0};
+std::atomic<std::uint64_t> g_device_launches{0};
 
 // ---------------------------------------------------------------------------
 // Tool registry. The registered set is published as an immutable vector
@@ -74,6 +29,9 @@ struct ToolState {
 
 std::atomic<bool> g_have_tools{false};
 
+// Leaked on purpose: View deallocation events can fire from static
+// destructors (e.g. cached PotentialStats holding Views); a leaked state
+// object keeps every ordering safe.
 ToolState& tool_state() {
   static ToolState* s = new ToolState;
   return *s;
@@ -117,82 +75,17 @@ bool set_enabled(bool on) {
   return g_count_enabled.exchange(on, std::memory_order_relaxed);
 }
 
-bool enabled() { return g_count_enabled.load(std::memory_order_relaxed); }
-
-void record_launch(const std::string& name, bool is_device,
-                   std::uint64_t items) {
-  if (!g_count_enabled.load(std::memory_order_relaxed)) return;
-  g_total_relaxed.fetch_add(1, std::memory_order_relaxed);
-  if (is_device) g_total_device_relaxed.fetch_add(1, std::memory_order_relaxed);
-  Shard& sh = my_shard();
-  std::lock_guard<std::mutex> lk(sh.mu);
-  auto& s = sh.stats[name];
-  s.launches++;
-  s.total_items += items;
-  sh.total++;
-  if (is_device) {
-    s.device_launches++;
-    sh.total_device++;
-  }
-}
-
-std::uint64_t total_launches_relaxed() {
-  return g_total_relaxed.load(std::memory_order_relaxed);
-}
-
-std::uint64_t total_device_launches_relaxed() {
-  return g_total_device_relaxed.load(std::memory_order_relaxed);
-}
-
-std::map<std::string, LaunchStat> snapshot() {
-  std::map<std::string, LaunchStat> out;
-  auto& cs = count_state();
-  std::lock_guard<std::mutex> rk(cs.registry_mu);
-  for (auto& sh : cs.shards) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    for (const auto& [name, st] : sh->stats) {
-      auto& o = out[name];
-      o.launches += st.launches;
-      o.device_launches += st.device_launches;
-      o.total_items += st.total_items;
-    }
-  }
-  return out;
-}
-
 std::uint64_t total_launches() {
-  std::uint64_t t = 0;
-  auto& cs = count_state();
-  std::lock_guard<std::mutex> rk(cs.registry_mu);
-  for (auto& sh : cs.shards) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    t += sh->total;
-  }
-  return t;
+  return g_launches.load(std::memory_order_relaxed);
 }
 
 std::uint64_t total_device_launches() {
-  std::uint64_t t = 0;
-  auto& cs = count_state();
-  std::lock_guard<std::mutex> rk(cs.registry_mu);
-  for (auto& sh : cs.shards) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    t += sh->total_device;
-  }
-  return t;
+  return g_device_launches.load(std::memory_order_relaxed);
 }
 
 void reset() {
-  g_total_relaxed.store(0, std::memory_order_relaxed);
-  g_total_device_relaxed.store(0, std::memory_order_relaxed);
-  auto& cs = count_state();
-  std::lock_guard<std::mutex> rk(cs.registry_mu);
-  for (auto& sh : cs.shards) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    sh->stats.clear();
-    sh->total = 0;
-    sh->total_device = 0;
-  }
+  g_launches.store(0, std::memory_order_relaxed);
+  g_device_launches.store(0, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +137,10 @@ void finalize_tools() {
 
 std::uint64_t begin_kernel(KernelType t, const std::string& name, bool device,
                            std::uint64_t items) {
-  record_launch(name, device, items);
+  if (g_count_enabled.load(std::memory_order_relaxed)) {
+    g_launches.fetch_add(1, std::memory_order_relaxed);
+    if (device) g_device_launches.fetch_add(1, std::memory_order_relaxed);
+  }
   if (!tooling_active()) return 0;
   const std::uint64_t kid =
       g_next_id.fetch_add(1, std::memory_order_relaxed);

@@ -4,14 +4,14 @@
 //
 // Two independent mechanisms live here:
 //
-//  1. Launch *counting* (the original registry): every parallel dispatch
-//     records (name, space, iteration count) into per-thread shards that are
-//     merged at snapshot() time. The performance model (src/perfmodel)
-//     consumes these counts to price kernel launch latency and exposed
-//     parallelism per architecture. Disabled mode is a single relaxed atomic
-//     load — no lock, no map touch (bench/bench_overhead.cpp gates this).
+//  1. Launch *counting*: every parallel dispatch bumps two relaxed atomic
+//     totals (all launches, Device-space launches). They are the one
+//     always-on launch count: telemetry step samples and perfbench's
+//     launches-per-step read them, and per-kernel detail is left to the
+//     opt-in KernelTimer tool. Disabled mode is a single relaxed atomic
+//     load (bench/bench_overhead.cpp gates this).
 //
-//  2. Event *tools* (new): a registerable callback table mirroring the real
+//  2. Event *tools*: a registerable callback table mirroring the real
 //     KokkosP interface. Dispatch sites emit begin/end events for
 //     parallel_for / parallel_reduce / parallel_scan (returning kernel IDs),
 //     named regions (push_region/pop_region), View allocations
@@ -45,35 +45,18 @@
 namespace kk::profiling {
 
 // ---------------------------------------------------------------------------
-// Launch counting (perfmodel feed)
+// Launch counting
 // ---------------------------------------------------------------------------
-
-struct LaunchStat {
-  std::uint64_t launches = 0;
-  std::uint64_t device_launches = 0;
-  std::uint64_t total_items = 0;
-};
 
 /// Enable/disable launch counting (enabled by default). Returns the previous
 /// state. Disabled dispatch is a fast early-out: one relaxed atomic load.
 bool set_enabled(bool on);
-bool enabled();
 
-void record_launch(const std::string& name, bool is_device, std::uint64_t items);
-
-/// Snapshot of all stats since the last reset, keyed by kernel name
-/// (merges the per-thread shards).
-std::map<std::string, LaunchStat> snapshot();
-
-/// Aggregate counters since last reset.
+/// Launches (all spaces / Device space only) since the last reset(): wait-free
+/// relaxed loads, safe on the telemetry producer path. Process-global, so
+/// concurrent simmpi ranks and server jobs all count here.
 std::uint64_t total_launches();
 std::uint64_t total_device_launches();
-
-/// Aggregate counters from plain relaxed atomics — safe on wait-free paths
-/// (the telemetry step publisher), unlike the shard-merging totals above
-/// which take per-shard locks. Monotonic except across reset().
-std::uint64_t total_launches_relaxed();
-std::uint64_t total_device_launches_relaxed();
 
 void reset();
 

@@ -7,12 +7,6 @@
 
 namespace mlk {
 
-std::size_t PairBatch::total_rows() const {
-  std::size_t n = 0;
-  for (const Slice& s : slices_) n += s.rows;
-  return n;
-}
-
 void PairBatch::launch() {
   if (slices_.empty()) return;
 

@@ -47,7 +47,6 @@ class PairBatch {
 
   std::size_t size() const { return slices_.size(); }
   bool empty() const { return slices_.empty(); }
-  std::size_t total_rows() const;
 
   /// Dispatch one fused parallel_for over every enlisted slice's rows, then
   /// run the epilogues in enlistment order and clear the batch. The kernel

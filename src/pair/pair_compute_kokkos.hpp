@@ -76,7 +76,7 @@ struct PairComputeConfig {
   bool newton = false;
   PairParallelism parallelism = PairParallelism::Atom;
   kk::ScatterMode scatter = kk::ScatterMode::Atomic;
-  int vector_length = 32;  // logical lanes for the team variant
+  static constexpr int vector_length = 32;  // logical lanes, team variant
   bool eflag = true;
 };
 
@@ -335,7 +335,7 @@ EV pair_compute_rows(const std::string& name, const PairViews<Space>& views,
 template <class Space, bool FULL, bool NEWTON, class Functor>
 EV pair_compute_team(const std::string& name, const PairViews<Space>& views,
                      std::size_t n, const Functor& func,
-                     kk::ScatterMode scatter, int vector_length, bool eflag) {
+                     kk::ScatterMode scatter, bool eflag) {
   kk::ScatterView<double, 2, Space> fscatter(views.f, scatter);
   auto facc = fscatter.access();
 
@@ -343,7 +343,7 @@ EV pair_compute_team(const std::string& name, const PairViews<Space>& views,
   if (use_simd) kk::simdstats::count_launch(name);
 
   EV total;
-  kk::TeamPolicy<Space> policy(n, 1, vector_length);
+  kk::TeamPolicy<Space> policy(n, 1, PairComputeConfig::vector_length);
   kk::parallel_reduce(
       name, policy,
       [=](const kk::TeamMember& member, EV& ev) {
@@ -402,7 +402,7 @@ EV pair_compute_dispatch(const std::string& name, Atom& atom,
   const auto launch = [&](auto full, auto newton) {
     if (cfg.parallelism == PairParallelism::Team)
       return pair_compute_team<Space, full, newton>(
-          name, views, n, func, cfg.scatter, cfg.vector_length, cfg.eflag);
+          name, views, n, func, cfg.scatter, cfg.eflag);
     return pair_compute_rows<Space, full, newton>(
         name, views, [](std::size_t i) { return i; }, n, func, cfg.scatter,
         cfg.eflag);

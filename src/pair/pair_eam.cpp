@@ -11,8 +11,6 @@ namespace mlk {
 
 PairEAM::PairEAM() {
   style_name = "eam";
-  datamask_read = X_MASK | TYPE_MASK;
-  datamask_modify = F_MASK;
 }
 
 double PairEAM::rho_a(double rsq, double cutsq) {

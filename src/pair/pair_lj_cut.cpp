@@ -143,7 +143,7 @@ void PairLJCut::init(Simulation& sim) {
 void PairLJCut::compute(Simulation& sim, bool eflag) {
   reset_accumulators();
   Atom& atom = sim.atom;
-  atom.sync<kk::Host>(datamask_read);
+  atom.sync<kk::Host>(X_MASK | TYPE_MASK);
   const NeighborList& list = sim.neighbor.list;
   const_cast<NeighborList&>(list).k_neighbors.sync<kk::Host>();
   const_cast<NeighborList&>(list).k_numneigh.sync<kk::Host>();

@@ -11,7 +11,6 @@ namespace mlk {
 
 PairLJCutCoulCut::PairLJCutCoulCut() {
   style_name = "lj/cut/coul/cut";
-  datamask_read = X_MASK | TYPE_MASK | Q_MASK;
 }
 
 void PairLJCutCoulCut::settings(const std::vector<std::string>& args) {
@@ -28,7 +27,7 @@ double PairLJCutCoulCut::cutoff() const {
 void PairLJCutCoulCut::compute(Simulation& sim, bool eflag) {
   reset_accumulators();
   Atom& atom = sim.atom;
-  atom.sync<kk::Host>(datamask_read | F_MASK);
+  atom.sync<kk::Host>(X_MASK | TYPE_MASK | Q_MASK | F_MASK);
   auto& list = sim.neighbor.list;
   list.k_neighbors.sync<kk::Host>();
   list.k_numneigh.sync<kk::Host>();

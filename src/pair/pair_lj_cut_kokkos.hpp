@@ -119,7 +119,6 @@ class PairLJCutKokkos : public PairLJCut {
   }
   void set_parallelism(PairParallelism p) { cfg_.parallelism = p; }
   void set_scatter_mode(kk::ScatterMode m) { cfg_.scatter = m; }
-  void set_vector_length(int v) { cfg_.vector_length = v; }
 
  private:
   PairComputeConfig cfg_;

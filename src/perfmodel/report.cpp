@@ -18,13 +18,6 @@ std::string Table::num(double v, int precision) {
   return os.str();
 }
 
-std::string Table::sci(double v, int precision) {
-  std::ostringstream os;
-  os.precision(precision);
-  os << std::scientific << v;
-  return os.str();
-}
-
 void Table::print() const {
   std::vector<std::size_t> width(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c)

@@ -15,7 +15,6 @@ class Table {
   void print() const;
 
   static std::string num(double v, int precision = 3);
-  static std::string sci(double v, int precision = 2);
 
  private:
   std::vector<std::string> headers_;

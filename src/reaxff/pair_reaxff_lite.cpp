@@ -17,8 +17,6 @@ PairReaxFFLite<Space>::PairReaxFFLite() {
   execution_space =
       Space::is_device ? ExecSpaceKind::Device : ExecSpaceKind::Host;
   needs_reverse_comm = true;  // bonded terms write ghost forces
-  datamask_read = X_MASK | TYPE_MASK | Q_MASK;
-  datamask_modify = F_MASK | Q_MASK;
 }
 
 template <class Space>

@@ -74,7 +74,6 @@ class Scheduler {
  private:
   void admit();
   void step_cohort();
-  void finish_job(std::size_t idx, JobState state, const std::string& error);
   void update_manifest_entry(const Job& job);
   void write_manifest_snapshot();
 

@@ -29,7 +29,6 @@ class PairSNAP : public Pair {
 
   void set_beta(std::vector<double> beta) { beta_ = std::move(beta); }
   const std::vector<double>& beta() const { return beta_; }
-  const snap::SnaParams& snap_params() const { return params_; }
   snap::SNA* sna() { return sna_.get(); }
 
   /// Per-atom bispectrum of the last eflag compute (tests).

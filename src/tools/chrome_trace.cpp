@@ -171,11 +171,6 @@ void ChromeTrace::end_worker_chunk(std::uint64_t kid, int worker) {
   close(chunk_key(kid, worker));
 }
 
-std::size_t ChromeTrace::event_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return events_.size();
-}
-
 void ChromeTrace::write_file(const std::string& path,
                              const std::vector<const Event*>& events,
                              const std::map<int, std::string>& names) {

@@ -74,8 +74,6 @@ class ChromeTrace : public kk::profiling::Tool {
   /// Write the trace file(s). Idempotent; also invoked by the destructor.
   void finalize() override;
 
-  std::size_t event_count() const;
-
  private:
   struct Event {
     std::string name;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 #include "tools/json.hpp"
 
@@ -67,15 +66,6 @@ void KernelTimer::begin_deep_copy(const char* dst_space,
         /*device=*/true, bytes, id);
 }
 void KernelTimer::end_deep_copy(std::uint64_t id) { end(id); }
-
-void KernelTimer::finalize() {
-  if (output_.empty()) return;
-  if (output_ == "-") {
-    std::fputs(text_report().c_str(), stderr);
-  } else {
-    write_json(output_);
-  }
-}
 
 std::map<std::string, KernelTimer::Stat> KernelTimer::stats() const {
   std::map<std::string, Stat> out;
@@ -159,21 +149,8 @@ std::string KernelTimer::json_for(const std::map<std::string, Stat>& stats) {
 
 std::string KernelTimer::json_fragment() const { return json_for(stats()); }
 
-void KernelTimer::write_json(const std::string& path) const {
-  {
-    std::ofstream f(path);
-    f << "{\"kernels\":" << json_for(stats()) << "}\n";
-  }
-  for (const int tag : tags()) {
-    std::ofstream f(path + ".rank" + std::to_string(tag));
-    f << "{\"kernels\":" << json_for(stats_for_tag(tag)) << "}\n";
-  }
-}
-
-void KernelTimer::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  open_.clear();
-  stats_.clear();
+std::string KernelTimer::json_fragment(int tag) const {
+  return json_for(stats_for_tag(tag));
 }
 
 }  // namespace mlk::tools

@@ -4,9 +4,11 @@
 // are built from). DualView deep copies are accumulated as pseudo-kernels
 // named "deep_copy[DST<-SRC]" so transfer time shows up in the same table.
 //
-// Stats are kept per (thread tag, kernel name); under simmpi each rank
-// thread carries its rank as the tag, so report()/write_json() can emit
-// per-rank output files exactly like one-process-per-rank MPI tools do.
+// This is the one per-kernel table and the one per-kernel JSON writer; the
+// always-on launch totals in kk::profiling carry no names. Stats are kept
+// per (thread tag, kernel name); under simmpi each rank thread carries its
+// rank as the tag, so json_fragment(rank) scopes output to one rank's
+// events exactly like one-process-per-rank MPI tools do.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,6 @@ class KernelTimer : public kk::profiling::Tool {
                        const char* src_space, const std::string& src_label,
                        std::uint64_t bytes, std::uint64_t id) override;
   void end_deep_copy(std::uint64_t id) override;
-  void finalize() override;
 
   /// Merged-across-tags stats, keyed by kernel name.
   std::map<std::string, Stat> stats() const;
@@ -58,18 +59,10 @@ class KernelTimer : public kk::profiling::Tool {
 
   /// Human-readable table, sorted by total time descending.
   std::string text_report() const;
-  /// JSON object string: {"kernel": {count, total_s, ...}, ...}.
+  /// JSON object string: {"kernel": {count, device_count, total_items,
+  /// total_s, ...}, ...}, merged across tags or for one thread tag only.
   std::string json_fragment() const;
-
-  /// Write {"kernels": ...} to `path`. With per-rank tags present, also
-  /// writes path.rank<r> files scoped to each rank's events.
-  void write_json(const std::string& path) const;
-
-  void clear();
-
-  /// Where finalize() dumps: "" = nowhere, "-" = text to stderr, else a
-  /// JSON file path (the MLK_PROFILE wiring).
-  void set_output(std::string path) { output_ = std::move(path); }
+  std::string json_fragment(int tag) const;
 
  private:
   struct Open {
@@ -88,7 +81,6 @@ class KernelTimer : public kk::profiling::Tool {
   mutable std::mutex mu_;
   std::map<std::uint64_t, Open> open_;
   std::map<std::pair<int, std::string>, Stat> stats_;
-  std::string output_;
 };
 
 }  // namespace mlk::tools

@@ -6,7 +6,6 @@
 #include <mutex>
 
 #include "tools/chrome_trace.hpp"
-#include "tools/json.hpp"
 #include "tools/telemetry/telemetry.hpp"
 
 namespace mlk::tools {
@@ -29,32 +28,16 @@ class EnvProfileDump : public kk::profiling::Tool {
       std::fputs(timer_->text_report().c_str(), stderr);
       std::fputs(mem_->text_report().c_str(), stderr);
     } else {
-      write_profile_json(path_, *timer_, *mem_);
+      write_profile_json(path_, timer_->json_fragment(), *mem_);
       // Per-rank kernel timings when simmpi ranks ran (path.rank<r>).
       for (const int tag : timer_->tags()) {
         std::ofstream f(path_ + ".rank" + std::to_string(tag));
-        f << "{\"kernels\":" << timer_json_for_tag(tag) << "}\n";
+        f << "{\"kernels\":" << timer_->json_fragment(tag) << "}\n";
       }
     }
   }
 
  private:
-  std::string timer_json_for_tag(int tag) const {
-    std::string out = "{";
-    bool first = true;
-    for (const auto& [name, s] : timer_->stats_for_tag(tag)) {
-      if (!first) out += ",";
-      first = false;
-      out += json::quote(name) + ":{\"count\":" + std::to_string(s.count) +
-             ",\"total_s\":" + json::num(s.total_s) +
-             ",\"min_s\":" + json::num(s.min_s) +
-             ",\"max_s\":" + json::num(s.max_s) +
-             ",\"mean_s\":" + json::num(s.mean_s()) +
-             ",\"items_per_s\":" + json::num(s.items_per_s()) + "}";
-    }
-    return out + "}";
-  }
-
   std::string path_;
   std::shared_ptr<KernelTimer> timer_;
   std::shared_ptr<MemorySpaceTracker> mem_;
@@ -133,11 +116,11 @@ bool start_telemetry_from_spec(const std::string& spec) {
   return true;
 }
 
-void write_profile_json(const std::string& path, const KernelTimer& timer,
+void write_profile_json(const std::string& path, const std::string& kernels,
                         const MemorySpaceTracker& mem) {
   std::ofstream f(path);
-  f << "{\"kernels\":" << timer.json_fragment()
-    << ",\"memory\":" << mem.json_fragment() << "}\n";
+  f << "{\"kernels\":" << kernels << ",\"memory\":" << mem.json_fragment()
+    << "}\n";
 }
 
 }  // namespace mlk::tools

@@ -38,8 +38,9 @@ void init_from_env();
 /// Returns false (with a message to stderr) on a malformed option.
 bool start_telemetry_from_spec(const std::string& spec);
 
-/// Write the combined {"kernels": ..., "memory": ...} profile report.
-void write_profile_json(const std::string& path, const KernelTimer& timer,
+/// Write the combined {"kernels": ..., "memory": ...} profile report;
+/// `kernels` is a KernelTimer::json_fragment() (all tags or one rank's).
+void write_profile_json(const std::string& path, const std::string& kernels,
                         const MemorySpaceTracker& mem);
 
 }  // namespace mlk::tools

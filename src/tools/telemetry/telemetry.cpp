@@ -432,9 +432,9 @@ void Hub::write_snapshot() {
   out += ",\"ndjson_lines\":" + std::to_string(ndjson_lines_);
   out += ",\"drops\":{\"total\":" + std::to_string(drops) + "}";
   out += ",\"launches\":{\"total\":" +
-         std::to_string(kk::profiling::total_launches_relaxed()) +
+         std::to_string(kk::profiling::total_launches()) +
          ",\"device\":" +
-         std::to_string(kk::profiling::total_device_launches_relaxed()) + "}";
+         std::to_string(kk::profiling::total_device_launches()) + "}";
   out += ",\"instances\":[";
   {
     bool first = true;

@@ -6,6 +6,8 @@
 #   tests/run_tier1.sh --tsan     # ThreadSanitizer build in build-tsan/, full
 #                                 # minilmp_tests; any race report fails
 #   tests/run_tier1.sh --filter 'BitwiseResume.*'   # subset via gtest filter
+#   tests/run_tier1.sh --stress   # ctest -j4 with every entry repeated
+#                                 # until it fails, at most 10 times
 #   tests/run_tier1.sh --profile  # observability smoke: traced melt run,
 #                                 # trace JSON validated with validate_trace
 #                                 # (tests/trace_smoke.sh)
@@ -46,6 +48,7 @@ telemetry_smoke=0
 simd_smoke=0
 balance_smoke=0
 tsan=0
+stress=0
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -65,6 +68,10 @@ while [[ $# -gt 0 ]]; do
     --filter)
       gtest_filter="$2"
       shift 2
+      ;;
+    --stress)
+      stress=1
+      shift
       ;;
     --profile)
       profile_smoke=1
@@ -184,6 +191,8 @@ elif [[ -n "$gtest_filter" ]]; then
 elif [[ "$tsan" == 1 ]]; then
   "$build_dir/tests/minilmp_tests"
   echo "tsan: OK"
+elif [[ "$stress" == 1 ]]; then
+  ctest --test-dir "$build_dir" -j4 --repeat until-fail:10 --output-on-failure
 else
   ctest --test-dir "$build_dir" --output-on-failure
 fi

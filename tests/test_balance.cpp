@@ -24,7 +24,6 @@
 #include "comm/decomposition.hpp"
 #include "comm/simmpi.hpp"
 #include "engine/atom_sort.hpp"
-#include "engine/atom_vec_kokkos.hpp"
 #include "engine/balance.hpp"
 #include "test_helpers.hpp"
 #include "util/random.hpp"
@@ -354,7 +353,7 @@ TEST(AtomSort, ReorderPreservesPerTagStateAndIsIdempotent) {
 
     const auto perm =
         AtomSorter::permutation_scalar(sim.atom, sim.domain, bin_width);
-    AtomVecKokkos::reorder_owned(sim.atom, perm);
+    sim.atom.reorder_owned(perm);
 
     // Per-tag association intact, bitwise.
     sim.atom.sync<kk::Host>(X_MASK | V_MASK | TAG_MASK);

@@ -4,7 +4,6 @@
 #include <map>
 #include <mutex>
 
-#include "engine/atom_vec_kokkos.hpp"
 #include "test_helpers.hpp"
 
 namespace mlk {
@@ -204,36 +203,6 @@ TEST(CommMulti, TrajectoryIdenticalAcrossDecompositions) {
   EXPECT_NEAR(run_decomposed(2), e1, 1e-11 * std::abs(e1));
   EXPECT_NEAR(run_decomposed(4), e1, 1e-11 * std::abs(e1));
   EXPECT_NEAR(run_decomposed(8), e1, 1e-11 * std::abs(e1));
-}
-
-TEST(AtomVecKokkos, DevicePackMatchesHostPack) {
-  auto sim = make_lj_system(2, 0.8442, 0.05);
-  std::vector<localint> send = {0, 3, 7, 11};
-  auto host_buf = AtomVecKokkos::pack_positions_host(sim->atom, send, 1, 2.5);
-
-  kk::View1D<int, kk::Device> d_send("send", send.size());
-  for (std::size_t k = 0; k < send.size(); ++k) d_send(k) = send[k];
-  auto dev_buf =
-      AtomVecKokkos::pack_positions_device(sim->atom, d_send, 1, 2.5);
-
-  ASSERT_EQ(dev_buf.extent(0), host_buf.size());
-  for (std::size_t k = 0; k < host_buf.size(); ++k)
-    EXPECT_DOUBLE_EQ(dev_buf(k), host_buf[k]);
-}
-
-TEST(AtomVecKokkos, DeviceUnpackRoundTrip) {
-  auto sim = make_lj_system(2, 0.8442, 0.0);
-  sim->comm.cutghost = 2.8;
-  sim->comm.borders(sim->atom, sim->domain);
-  ASSERT_GT(sim->atom.nghost, 2);
-
-  const localint first = sim->atom.nlocal;
-  kk::View1D<double, kk::Device> buf("buf", 6);
-  for (std::size_t k = 0; k < 6; ++k) buf(k) = double(k) + 0.5;
-  AtomVecKokkos::unpack_positions_device(sim->atom, buf, first);
-  sim->atom.sync<kk::Host>(X_MASK);
-  EXPECT_DOUBLE_EQ(sim->atom.k_x.h_view(std::size_t(first), 0), 0.5);
-  EXPECT_DOUBLE_EQ(sim->atom.k_x.h_view(std::size_t(first) + 1, 2), 5.5);
 }
 
 }  // namespace

@@ -157,12 +157,8 @@ TEST(Profiling, RecordsLaunchesAndItems) {
                    [](std::size_t) {});
   kk::parallel_for("prof::k2", kk::RangePolicy<kk::Host>(0, 10),
                    [](std::size_t) {});
-  auto snap = kk::profiling::snapshot();
-  EXPECT_EQ(snap["prof::k1"].launches, 2u);
-  EXPECT_EQ(snap["prof::k1"].device_launches, 2u);
-  EXPECT_EQ(snap["prof::k1"].total_items, 150u);
-  EXPECT_EQ(snap["prof::k2"].launches, 1u);
-  EXPECT_EQ(snap["prof::k2"].device_launches, 0u);
+  // Per-kernel counts and items: KernelTimerTool.AccumulatesPerKernelStats.
+  EXPECT_EQ(kk::profiling::total_launches(), 3u);
   EXPECT_EQ(kk::profiling::total_device_launches(), 2u);
   kk::profiling::reset();
   EXPECT_EQ(kk::profiling::total_launches(), 0u);

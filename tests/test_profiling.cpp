@@ -1,8 +1,8 @@
 // Profiling hook-layer tests: event begin/end balance (including under
-// exceptions), kernel-id plumbing, sharded launch counting from many
-// threads, the built-in tools (KernelTimer stats, MemorySpaceTracker
-// high-water marks, ChromeTrace well-formed JSON), and the `profile` /
-// `trace` input-command round-trips.
+// exceptions), kernel-id plumbing, launch counting from many threads, the
+// built-in tools (KernelTimer stats, MemorySpaceTracker high-water marks,
+// ChromeTrace well-formed JSON), and the `profile` / `trace` input-command
+// round-trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "comm/simmpi.hpp"
 #include "kokkos/core.hpp"
 #include "kokkos/profiling.hpp"
 #include "test_helpers.hpp"
@@ -193,6 +194,7 @@ TEST(ProfilingEvents, NoToolsMeansKernelIdZero) {
 }
 
 TEST(ProfilingCounting, ShardsMergeAcrossThreads) {
+  // Launches from many threads all land in the one pair of totals.
   const bool prev = prof::set_enabled(true);
   prof::reset();
   constexpr int kThreads = 4, kPer = 2500;
@@ -200,17 +202,13 @@ TEST(ProfilingCounting, ShardsMergeAcrossThreads) {
   for (int t = 0; t < kThreads; ++t)
     ts.emplace_back([] {
       for (int i = 0; i < kPer; ++i)
-        prof::record_launch("prof::sharded", /*is_device=*/i % 2 == 0, 10);
+        prof::ScopedKernel k(prof::KernelType::ParallelFor, "prof::counted",
+                             /*device=*/i % 2 == 0, 10);
     });
   for (auto& t : ts) t.join();
 
-  const auto snap = prof::snapshot();
-  const auto it = snap.find("prof::sharded");
-  ASSERT_NE(it, snap.end());
-  EXPECT_EQ(it->second.launches, std::uint64_t(kThreads) * kPer);
-  EXPECT_EQ(it->second.device_launches, std::uint64_t(kThreads) * kPer / 2);
-  EXPECT_EQ(it->second.total_items, std::uint64_t(kThreads) * kPer * 10);
-  EXPECT_GE(prof::total_launches(), std::uint64_t(kThreads) * kPer);
+  EXPECT_EQ(prof::total_launches(), std::uint64_t(kThreads) * kPer);
+  EXPECT_EQ(prof::total_device_launches(), std::uint64_t(kThreads) * kPer / 2);
   prof::reset();
   prof::set_enabled(prev);
 }
@@ -220,7 +218,10 @@ TEST(ProfilingCounting, DisabledRecordsNothing) {
   prof::reset();
   kk::parallel_for("prof::disabled", kk::RangePolicy<kk::Host>(0, 4),
                    [](std::size_t) {});
-  EXPECT_EQ(prof::snapshot().count("prof::disabled"), 0u);
+  kk::parallel_for("prof::disabled", kk::RangePolicy<kk::Device>(0, 4),
+                   [](std::size_t) {});
+  EXPECT_EQ(prof::total_launches(), 0u);
+  EXPECT_EQ(prof::total_device_launches(), 0u);
   prof::set_enabled(prev);
 }
 
@@ -229,12 +230,22 @@ TEST(KernelTimerTool, AccumulatesPerKernelStats) {
   for (int r = 0; r < 5; ++r)
     kk::parallel_for("prof::timed", kk::RangePolicy<kk::Host>(0, 100),
                      [](std::size_t) {});
+  kk::parallel_for("prof::timed_dev", kk::RangePolicy<kk::Device>(0, 100),
+                   [](std::size_t) {});
+  kk::parallel_for("prof::timed_dev", kk::RangePolicy<kk::Device>(0, 50),
+                   [](std::size_t) {});
   const auto stats = timer->stats();
   const auto it = stats.find("prof::timed");
   ASSERT_NE(it, stats.end());
   const auto& s = it->second;
   EXPECT_EQ(s.count, 5u);
+  EXPECT_EQ(s.device_count, 0u);
   EXPECT_EQ(s.total_items, 500u);
+  const auto dev = stats.find("prof::timed_dev");
+  ASSERT_NE(dev, stats.end());
+  EXPECT_EQ(dev->second.count, 2u);
+  EXPECT_EQ(dev->second.device_count, 2u);
+  EXPECT_EQ(dev->second.total_items, 150u);
   EXPECT_GT(s.total_s, 0.0);
   EXPECT_LE(s.min_s, s.mean_s());
   EXPECT_LE(s.mean_s(), s.max_s);
@@ -246,6 +257,7 @@ TEST(KernelTimerTool, AccumulatesPerKernelStats) {
   ASSERT_TRUE(v.is_object());
   EXPECT_DOUBLE_EQ(v["prof::timed"]["count"].number, 5.0);
   EXPECT_GT(v["prof::timed"]["mean_s"].number, 0.0);
+  EXPECT_DOUBLE_EQ(v["prof::timed_dev"]["device_count"].number, 2.0);
 }
 
 TEST(MemoryTrackerTool, HighWaterMarkAcrossCreateDestroyRealloc) {
@@ -369,6 +381,42 @@ TEST(ProfileCommand, RoundTripsThroughDump) {
   ASSERT_TRUE(doc["memory"].is_object());
   EXPECT_TRUE(doc["memory"]["Host"]["high_water_bytes"].is_number());
   fs::remove(path);
+}
+
+TEST(ProfileCommand, PerRankDumpHoldsOnlyThatRanksKernels) {
+  // Each rank's timer sees both ranks' launches; its dump keeps its own.
+  init_all();
+  const fs::path path =
+      fs::temp_directory_path() / "mlk_test_profile_ranks.json";
+  simmpi::World world(2);
+  world.run([&](simmpi::Comm& comm) {
+    Simulation sim;
+    sim.mpi = &comm;
+    sim.thermo.print = false;
+    Input in(sim);
+    in.line("units lj");
+    in.line("lattice fcc 0.8442");
+    in.line("create_atoms 4 4 4 jitter 0.05 78123");
+    in.line("mass 1 1.0");
+    in.line("velocity all create 1.44 87287");
+    in.line("pair_style lj/cut 2.5");
+    in.line("pair_coeff * * 1.0 1.0");
+    in.line("fix 1 all nve");
+    in.line("profile on");
+    in.line("run 10");
+    comm.barrier();  // both ranks' launches are in every timer
+    in.line("profile dump " + path.string());
+    in.line("profile off");
+  });
+  for (int r = 0; r < 2; ++r) {
+    const fs::path rank_path = path.string() + ".rank" + std::to_string(r);
+    ASSERT_TRUE(fs::exists(rank_path)) << rank_path;
+    const json::Value doc = json::parse(slurp(rank_path));
+    const json::Value& nve = doc["kernels"]["FixNVEKokkos::initial_integrate"];
+    EXPECT_DOUBLE_EQ(nve["count"].number, 10.0) << "rank " << r;
+    EXPECT_TRUE(doc["memory"].is_object()) << "rank " << r;
+    fs::remove(rank_path);
+  }
 }
 
 }  // namespace
