@@ -21,7 +21,6 @@ class DeviceInstance;
 namespace mlk {
 
 class Simulation;
-class PairBatch;  // cross-job fused dispatch (src/pair/pair_batch.hpp)
 
 class Pair {
  public:
@@ -70,33 +69,6 @@ class Pair {
   virtual void compute_boundary(Simulation& sim, bool eflag) {
     (void)sim, (void)eflag;
     require(false, style_name + " does not support overlapped compute");
-  }
-
-  // --- cross-job batched dispatch (docs/SERVER.md) ---
-  /// Non-empty when this style can contribute its force kernel for the
-  /// current step to a cross-simulation fused launch: the batch server
-  /// groups co-resident jobs whose signatures match into one PairBatch and
-  /// dispatches a single launch over their concatenated rows. The signature
-  /// must encode everything that makes rows fusable (kernel shape, execution
-  /// space, write pattern) — styles return "" to compute solo this step.
-  /// Styles must refuse (return "") whenever fusion could change results:
-  /// in particular eflag steps, whose reductions join partials in
-  /// rank order and would change summation order inside a shared launch.
-  virtual std::string batch_signature(const Simulation& sim,
-                                      bool eflag) const {
-    (void)sim, (void)eflag;
-    return "";
-  }
-
-  /// Append this style's force work for the step to `batch` instead of
-  /// launching it. Same threading contract as compute_interior: all DualView
-  /// sync/modify bookkeeping happens here on the calling thread; the
-  /// enlisted per-row closures touch only raw captured views and each row
-  /// writes only its own job's arrays. Only called when batch_signature()
-  /// returned non-empty.
-  virtual void batch_enlist(Simulation& sim, bool eflag, PairBatch& batch) {
-    (void)sim, (void)eflag, (void)batch;
-    require(false, style_name + " does not support batched compute");
   }
 
   /// Serialize settings + coefficients into a checkpoint; return true if the

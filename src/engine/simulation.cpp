@@ -425,6 +425,13 @@ void Verlet::step_end(const Phase& p) {
   publish_telemetry(p);
 }
 
+Verlet::Phase Verlet::step() {
+  const Phase p = step_begin();
+  step_force(p);
+  step_end(p);
+  return p;
+}
+
 void Verlet::publish_telemetry(const Phase& p) {
   namespace tel = tools::telemetry;
   Simulation& sim = sim_;
@@ -512,11 +519,7 @@ void Verlet::finish() {
 void Verlet::run(bigint nsteps) {
   kk::profiling::ScopedRegion loop_region("Verlet::run");
   begin(nsteps);
-  while (!done()) {
-    const Phase p = step_begin();
-    step_force(p);
-    step_end(p);
-  }
+  while (!done()) step();
   finish();
 }
 

@@ -139,8 +139,8 @@ class Simulation {
 
   /// Everything run() does before entering the Verlet loop: setup() when
   /// needed plus initialization of fixes added since the last run. The
-  /// phase-driven stepping path (src/server's scheduler) calls this once,
-  /// then drives a Verlet instance phase by phase.
+  /// batch server (src/server) calls this once per job, then drives a
+  /// Verlet instance step by step.
   void prepare_run();
 
   /// Velocity-Verlet time integration for nsteps (requires setup()).
@@ -149,12 +149,6 @@ class Simulation {
   /// Evaluate forces for the current configuration (zeroes, pair->compute,
   /// then finish_external_forces()).
   void compute_forces(bool eflag);
-
-  /// Force-phase epilogue: reverse force communication when the list needs
-  /// it, then the fixes' post_force hooks. Both force paths end with it, and
-  /// the server's cross-job batched dispatch (docs/SERVER.md) calls it after
-  /// computing pair forces in a fused launch.
-  void finish_external_forces();
 
   // --- global diagnostics (allreduced across ranks when mpi is set) ---
   bigint global_natoms();
@@ -172,6 +166,10 @@ class Simulation {
   friend class Verlet;
   void rebuild_neighbors();
 
+  /// Force-phase epilogue: reverse force communication when the list needs
+  /// it, then the fixes' post_force hooks. Both force paths end with it.
+  void finish_external_forces();
+
   /// Overlapped force phase for non-rebuild steps: interior pair kernel on
   /// instance_compute() concurrent with forward_positions on
   /// instance_comm(); per-instance fences (never a global kk::fence), then
@@ -186,13 +184,12 @@ class Simulation {
 ///
 /// Two ways to drive it:
 ///   * run(nsteps) — the classic single-simulation loop.
-///   * phase by phase — begin(nsteps) once, then
-///       { auto p = step_begin(); step_force(p); step_end(p); }
-///     until done(), then finish(). run() is composed of exactly these
-///     calls, so both drivings produce bitwise-identical trajectories. The
-///     split exists for the batch server (src/server): a scheduler
-///     interleaves the phases of many co-resident Simulations and may
-///     replace step_force with a cross-job fused launch.
+///   * step by step — begin(nsteps) once, then step() until done(), then
+///     finish(). step() is { auto p = step_begin(); step_force(p);
+///     step_end(p); } and run() is composed of exactly these calls, so every
+///     driving produces bitwise-identical trajectories. The batch server
+///     (src/server) runs step() as one task per job per round; the phase
+///     split lets a caller time each phase on its own.
 class Verlet {
  public:
   explicit Verlet(Simulation& sim) : sim_(sim) {}
@@ -216,6 +213,8 @@ class Verlet {
   void step_force(const Phase& p);
   /// Second integration half, end_of_step fixes, checkpoint/thermo output.
   void step_end(const Phase& p);
+  /// One whole step: the three phases back to back. Returns its decisions.
+  Phase step();
   void finish();
 
   void run(bigint nsteps);

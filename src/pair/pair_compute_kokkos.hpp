@@ -13,9 +13,8 @@
 //
 // One owned row has one body, detail::pair_row, and the atom-parallel
 // kernels have one launch, pair_compute_rows, over a row map: the full
-// kernel maps the identity, the comm/compute-overlap split maps the
-// interior and boundary row lists, and the batch server's fused slice
-// (PairBatch) calls pair_row directly.
+// kernel maps the identity, and the comm/compute-overlap split maps the
+// interior and boundary row lists.
 //
 // The concrete style supplies a device-copyable functor implementing:
 //   double cutsq(itype, jtype)                 — squared cutoff

@@ -3,7 +3,6 @@
 #include "engine/simulation.hpp"
 #include "engine/style_registry.hpp"
 #include "kokkos/instance.hpp"
-#include "pair/pair_batch.hpp"
 
 namespace mlk {
 
@@ -113,77 +112,6 @@ void PairLJCutKokkos<Space>::compute_boundary(Simulation& sim, bool eflag) {
   eng_coul = ev_interior_.ecoul + ev_boundary.ecoul;
   for (int k = 0; k < 6; ++k)
     virial[k] = ev_interior_.v[k] + ev_boundary.v[k];
-}
-
-template <class Space>
-std::string PairLJCutKokkos<Space>::batch_signature(const Simulation& sim,
-                                                    bool eflag) const {
-  // Fusable only when the solo path would be a plain parallel_for whose
-  // rows are independent and write just their own atom:
-  //   * no tallies — eflag reductions join per-rank partials in rank order,
-  //     so fusing them would change the summation order vs. solo;
-  //   * full list + atom parallelism — row i accumulates into atom i only
-  //     (detail::pair_row<FULL> never scatters to j), which is what makes
-  //     the fused launch bitwise-identical under any row partitioning;
-  //   * atomic scatter — duplicated/sequential modes assume the launch
-  //     shape the solo kernel would have had;
-  //   * no ghost-force fold-back.
-  if (eflag) return "";
-  if (cfg_.neigh != NeighStyle::Full ||
-      cfg_.parallelism != PairParallelism::Atom ||
-      cfg_.scatter != kk::ScatterMode::Atomic || needs_reverse_comm)
-    return "";
-  if (sim.neighbor.list.style != NeighStyle::Full) return "";
-  // Structural signature: any two LJ jobs in this configuration can share a
-  // launch (coefficients and cutoffs are per-slice captures, not shape).
-  return std::string("pairwise/full/atom/atomic/") + Space::name();
-}
-
-template <class Space>
-void PairLJCutKokkos<Space>::batch_enlist(Simulation& sim, bool eflag,
-                                          PairBatch& batch) {
-  (void)eflag;  // only no-tally steps enlist (batch_signature refuses eflag)
-  reset_accumulators();
-  cfg_.eflag = false;
-
-  // Same threading contract as compute_interior: every DualView sync runs
-  // here on the calling thread; the fused kernel touches only the raw views.
-  // The solo path syncs F then zeroes it (Atom::zero_forces) — replicated
-  // here by syncing at enlistment and zeroing inside the fused kernel, so
-  // both paths leave bitwise-identical state.
-  const PairViews<Space> views(sim.atom, sim.neighbor.list);
-  const std::size_t nforce = std::size_t(sim.neighbor.list.inum);
-  const LJFunctor func = functor_;
-
-  // Per-job ScatterView (Atomic: adds land directly in this job's force
-  // array). Heap-owned so it outlives enlistment; the epilogue keeps the
-  // shared_ptr alive through the launch and runs contribute afterwards.
-  auto fscatter = std::make_shared<kk::ScatterView<double, 2, Space>>(
-      views.f, cfg_.scatter);
-  const auto facc = fscatter->access();
-
-  PairBatch::Slice s;
-  s.label = std::string("PairComputeLJCut<") + Space::name() + ">";
-  const bool use_simd = kk::simd_enabled();
-  if (use_simd) kk::simdstats::count_launch(s.label + "::batch");
-  // Row space covers all nall force rows: rows < inum zero their own atom
-  // then run the solo kernel's row body (its adds land on the freshly
-  // zeroed entry, exactly the value the solo zero-kernel + force-kernel
-  // sequence produces); ghost rows only zero. No row reads f, so zeroing
-  // needs no barrier against the force work of other rows.
-  s.rows = std::size_t(sim.atom.nall());
-  s.row = [=](std::size_t i) {
-    views.f(i, 0) = 0.0;
-    views.f(i, 1) = 0.0;
-    views.f(i, 2) = 0.0;
-    if (i >= nforce) return;
-    EV unused;
-    detail::pair_row<true, false>(views, facc, func, i, use_simd,
-                                  /*eflag=*/false, unused);
-  };
-  s.epilogue = [fscatter] { fscatter->contribute(); };
-  batch.add(std::move(s));
-  sim.atom.template modified<Space>(F_MASK);
 }
 
 template class PairLJCutKokkos<kk::Host>;

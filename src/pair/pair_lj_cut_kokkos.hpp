@@ -103,12 +103,6 @@ class PairLJCutKokkos : public PairLJCut {
                         kk::DeviceInstance& instance) override;
   void compute_boundary(Simulation& sim, bool eflag) override;
 
-  // Cross-job batched dispatch: the server fuses the zero+force work of
-  // co-resident LJ jobs into one launch (docs/SERVER.md).
-  std::string batch_signature(const Simulation& sim,
-                              bool eflag) const override;
-  void batch_enlist(Simulation& sim, bool eflag, PairBatch& batch) override;
-
   NeighStyle neigh_style() const override { return cfg_.neigh; }
   bool newton() const override { return cfg_.newton; }
 

@@ -79,6 +79,9 @@ class Job {
   void start(bigint checkpoint_every, const std::string& checkpoint_base,
              bool thermo_print);
 
+  /// Advance one timestep (Verlet::step), keeping its decisions in `phase`.
+  void step() { phase = verlet->step(); }
+
   /// Job-local steps advanced so far (== sim->ntimestep; jobs start at 0).
   bigint steps_done() const { return sim ? sim->ntimestep : 0; }
 
@@ -93,10 +96,8 @@ class Job {
 
   /// Pooled stream handle while resident (null when fan-out is off).
   kk::DeviceInstance* instance = nullptr;
-  /// Current step's phase decisions (valid between step_begin and step_end).
+  /// The last step's phase decisions (the scheduler reads `checkpoint`).
   Verlet::Phase phase;
-  /// This step's force work was delegated to the shared PairBatch.
-  bool enlisted = false;
 };
 
 }  // namespace mlk::server

@@ -1,12 +1,8 @@
 #include "server/scheduler.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 
 #include "kokkos/profiling.hpp"
-#include "pair/pair_batch.hpp"
-#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace mlk::server {
@@ -93,8 +89,7 @@ void Scheduler::admit() {
 }
 
 void Scheduler::publish_sched_event(tel::SchedKind kind, int job_id,
-                                    float wave_a_ms, float wave_b_ms,
-                                    float wave_c_ms) {
+                                    float round_ms) {
   if (!telemetry_ || !tel::active()) return;
   tel::SchedSample ev;
   ev.kind = std::int32_t(kind);
@@ -102,10 +97,7 @@ void Scheduler::publish_sched_event(tel::SchedKind kind, int job_id,
   ev.round = stats_.rounds;
   ev.queue_depth = std::int32_t(queue_.pending());
   ev.in_flight = std::int32_t(resident_.size());
-  ev.wave_a_ms = wave_a_ms;
-  ev.wave_b_ms = wave_b_ms;
-  ev.wave_c_ms = wave_c_ms;
-  ev.fused_launches = stats_.fused_launches;
+  ev.round_ms = round_ms;
   telemetry_->events.push(ev);
 }
 
@@ -148,114 +140,50 @@ void Scheduler::step_cohort() {
     if (jp->state == JobState::Running && jp->verlet->done())
       jp->state = JobState::Completed;
 
-  auto alive = [&](const Job& job) { return job.state == JobState::Running; };
-
-  // Run a phase for one job: enqueued on its pooled instance under fan-out,
-  // inline (with the same error-to-job-failure mapping) otherwise.
-  auto dispatch = [&](Job& job, const char* label,
-                      std::function<void()> fn) {
+  // One task per resident job runs its whole step: on the job's pooled
+  // instance under fan-out, inline otherwise. Either way an exception fails
+  // only the job that threw.
+  auto fail = [](Job& job, const std::exception& e) {
+    job.state = JobState::Failed;
+    job.error = e.what();
+  };
+  Timer round_timer;
+  for (auto& jp : resident_) {
+    Job& job = *jp;
+    if (job.state != JobState::Running) continue;
+    ++stats_.solo_forces;
     if (job.instance) {
-      job.instance->enqueue(label, std::move(fn));
+      job.instance->enqueue("Job::step", [j = &job] { j->step(); });
     } else {
       try {
-        fn();
+        job.step();
       } catch (const std::exception& e) {
-        job.state = JobState::Failed;
-        job.error = e.what();
+        fail(job, e);
       }
     }
-  };
-
-  // Per-instance fence; a task exception fails only the owning job.
-  auto barrier = [&] {
-    for (auto& jp : resident_) {
-      Job& job = *jp;
-      if (!alive(job) || !job.instance) continue;
-      try {
-        job.instance->fence();
-      } catch (const std::exception& e) {
-        job.state = JobState::Failed;
-        job.error = e.what();
-      }
-    }
-  };
-
-  // --- wave A: first integration half + neighbor/halo maintenance ---
-  Timer wave_timer;
+  }
+  // One fence per round; a task exception surfaces at its own instance.
   for (auto& jp : resident_) {
     Job& job = *jp;
-    if (!alive(job)) continue;
-    Job* j = &job;
-    dispatch(job, "Job::step_begin",
-             [j] { j->phase = j->verlet->step_begin(); });
-  }
-  barrier();
-  const float wave_a_ms = float(wave_timer.seconds() * 1e3);
-  wave_timer.start();
-
-  // --- wave B: force phase, fused across jobs where signatures match ---
-  std::map<std::string, std::vector<Job*>> groups;
-  for (auto& jp : resident_) {
-    Job& job = *jp;
-    if (!alive(job)) continue;
-    job.enlisted = false;
-    if (!cfg_.batch || job.phase.rebuild || job.phase.overlap ||
-        job.phase.eflag)
-      continue;
-    const std::string sig =
-        job.sim->pair->batch_signature(*job.sim, /*eflag=*/false);
-    if (!sig.empty()) groups[sig].push_back(&job);
-  }
-  for (auto& [sig, members] : groups) {
-    if (members.size() < 2) continue;  // a lone job gains nothing from fusing
-    PairBatch batch;
+    if (job.state != JobState::Running || !job.instance) continue;
     try {
-      for (Job* j : members) {
-        j->sim->pair->batch_enlist(*j->sim, /*eflag=*/false, batch);
-        j->enlisted = true;
-      }
-      batch.launch();
-      ++stats_.fused_launches;
-      stats_.fused_jobs += bigint(members.size());
-      for (Job* j : members) j->sim->finish_external_forces();
+      job.instance->fence();
     } catch (const std::exception& e) {
-      // An enlist/launch failure is not attributable to one member; fail
-      // the whole group rather than continue with half-computed forces.
-      for (Job* j : members) {
-        j->state = JobState::Failed;
-        j->error = e.what();
-      }
+      fail(job, e);
     }
   }
-  for (auto& jp : resident_) {
-    Job& job = *jp;
-    if (!alive(job) || job.enlisted) continue;
-    ++stats_.solo_forces;
-    Job* j = &job;
-    dispatch(job, "Job::step_force", [j] { j->verlet->step_force(j->phase); });
-  }
-  barrier();
-  const float wave_b_ms = float(wave_timer.seconds() * 1e3);
-  wave_timer.start();
-
-  // --- wave C: second integration half + checkpoint/thermo output ---
-  bool any_checkpoint = false;
-  for (auto& jp : resident_) {
-    Job& job = *jp;
-    if (!alive(job)) continue;
-    any_checkpoint = any_checkpoint || job.phase.checkpoint;
-    Job* j = &job;
-    dispatch(job, "Job::step_end", [j] { j->verlet->step_end(j->phase); });
-  }
-  barrier();
-  const float wave_c_ms = float(wave_timer.seconds() * 1e3);
+  const float round_ms = float(round_timer.seconds() * 1e3);
 
   // --- end of round: retire finished/failed jobs, persist the manifest ---
+  bool any_checkpoint = false;
   std::vector<std::unique_ptr<Job>> still_resident;
   still_resident.reserve(resident_.size());
   for (auto& jp : resident_) {
     Job& job = *jp;
-    if (job.state == JobState::Running) ++stats_.steps;
+    if (job.state == JobState::Running) {
+      ++stats_.steps;
+      any_checkpoint = any_checkpoint || job.phase.checkpoint;
+    }
     if (job.state == JobState::Running && !job.verlet->done()) {
       still_resident.push_back(std::move(jp));
       continue;
@@ -268,8 +196,7 @@ void Scheduler::step_cohort() {
   }
   resident_ = std::move(still_resident);
 
-  publish_sched_event(tel::SchedKind::Round, -1, wave_a_ms, wave_b_ms,
-                      wave_c_ms);
+  publish_sched_event(tel::SchedKind::Round, -1, round_ms);
   // Counter tracks on any live Chrome trace (no-ops when none registered).
   kk::profiling::count_event("server.queue_depth", double(queue_.pending()));
   kk::profiling::count_event("server.in_flight", double(resident_.size()));

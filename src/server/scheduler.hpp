@@ -1,17 +1,12 @@
 // Scheduler — multiplexes N co-resident Simulations over the shared
-// thread-pool Device and fuses their force kernels (docs/SERVER.md).
+// thread-pool Device (docs/SERVER.md).
 //
 // Policy: lockstep round-robin. Each scheduling round advances every
-// resident job by exactly one timestep in three waves —
-//
-//   wave A  step_begin on each job's pooled DeviceInstance (integration
-//           half, rebuild decision + rebuild/halo comm), then fence;
-//   wave B  force phase: jobs whose pair styles report matching batch
-//           signatures enlist into one PairBatch and share a single fused
-//           launch (groups of >= 2); the rest run their solo force path on
-//           their instances, then fence;
-//   wave C  step_end on each instance (second half, checkpoint/thermo),
-//           then fence.
+// resident job by exactly one timestep: one Job::step task per job
+// (step_begin, step_force and step_end back to back), enqueued on the job's
+// pooled DeviceInstance under fan-out or run inline otherwise, then one
+// fence per instance. Jobs co-schedule; their kernels never fuse, so each
+// job's force time lands in its own Pair section.
 //
 // Fairness is structural: a round gives every resident job one step, so a
 // long job cannot starve short ones, and a completed job's slot is refilled
@@ -29,12 +24,12 @@
 namespace mlk::server {
 
 struct SchedulerConfig {
-  /// Co-resident Simulations (the N of the paper's batching regime).
+  /// Co-resident Simulations: the jobs each round advances.
   int max_resident = 4;
-  /// Cross-job fused force launches (PairBatch). Off = solo forces.
+  /// Inert: jobs never fuse. Kept because perfbench/harness.cpp sets it.
   bool batch = true;
-  /// Drive per-job phases on pooled DeviceInstances. Off = every phase runs
-  /// sequentially on the scheduler thread (still lockstep, still batched).
+  /// Run each job's step on its pooled DeviceInstance. Off = every step
+  /// runs sequentially on the scheduler thread (still lockstep).
   bool fanout = true;
   /// Per-job stdout (thermo rows). Results carry the rows either way.
   bool thermo_print = false;
@@ -65,9 +60,11 @@ class Scheduler {
   struct Stats {
     bigint rounds = 0;         // scheduling rounds driven
     bigint steps = 0;          // job-steps advanced in total
-    bigint fused_launches = 0; // PairBatch launches dispatched
-    bigint fused_jobs = 0;     // job-steps that rode a fused launch
-    bigint solo_forces = 0;    // job-steps that took the solo force path
+    // Always 0: jobs never fuse. Kept because perfbench/harness.cpp reads
+    // them.
+    bigint fused_launches = 0;
+    bigint fused_jobs = 0;
+    bigint solo_forces = 0;    // job-steps dispatched (each runs its own forces)
   };
   const Stats& stats() const { return stats_; }
 
@@ -87,8 +84,7 @@ class Scheduler {
   /// Publish a scheduler event into the telemetry ring (no-op when the hub
   /// is not streaming). The scheduler thread is the single producer.
   void publish_sched_event(tools::telemetry::SchedKind kind, int job_id,
-                           float wave_a_ms = 0.0f, float wave_b_ms = 0.0f,
-                           float wave_c_ms = 0.0f);
+                           float round_ms = 0.0f);
 
   JobQueue& queue_;
   SchedulerConfig cfg_;

@@ -352,10 +352,7 @@ void Hub::drain_sched(SchedTelemetry& st) {
                 ",\"job\":" + std::to_string(ev.job_id) +
                 ",\"queue_depth\":" + std::to_string(ev.queue_depth) +
                 ",\"in_flight\":" + std::to_string(ev.in_flight) +
-                ",\"wave_ms\":[" + json::num(ev.wave_a_ms) + "," +
-                json::num(ev.wave_b_ms) + "," + json::num(ev.wave_c_ms) +
-                "],\"fused_launches\":" + std::to_string(ev.fused_launches) +
-                "}");
+                ",\"round_ms\":" + json::num(ev.round_ms) + "}");
   }
 }
 
@@ -468,11 +465,7 @@ void Hub::write_snapshot() {
     out += ",\"server\":{\"round\":" + std::to_string(last_sched_.round) +
            ",\"queue_depth\":" + std::to_string(last_sched_.queue_depth) +
            ",\"in_flight\":" + std::to_string(last_sched_.in_flight) +
-           ",\"wave_ms\":[" + json::num(last_sched_.wave_a_ms) + "," +
-           json::num(last_sched_.wave_b_ms) + "," +
-           json::num(last_sched_.wave_c_ms) +
-           "],\"fused_launches\":" +
-           std::to_string(last_sched_.fused_launches) + "}";
+           ",\"round_ms\":" + json::num(last_sched_.round_ms) + "}";
   }
   out += "}\n";
 

@@ -18,7 +18,7 @@
 // Producer topology (the SPSC discipline):
 //   * each Simulation owns a SimTelemetry block: a step ring and a thermo
 //     ring whose producer is whichever thread drives that Simulation's
-//     Verlet phases (one at a time — the batch scheduler's wave fences
+//     Verlet phases (one at a time — the batch scheduler's round fences
 //     order handoffs), plus a CoordCapture double buffer;
 //   * each Scheduler owns a SchedTelemetry block: one ring of scheduler
 //     events whose producer is the scheduler thread.
@@ -83,10 +83,7 @@ struct SchedSample {
   std::int64_t round = 0;
   std::int32_t queue_depth = 0; // jobs still waiting in the queue
   std::int32_t in_flight = 0;   // resident (co-scheduled) jobs
-  float wave_a_ms = 0.0f;       // per-wave latency of this round (Round)
-  float wave_b_ms = 0.0f;
-  float wave_c_ms = 0.0f;
-  std::int64_t fused_launches = 0;  // cumulative PairBatch launches
+  float round_ms = 0.0f;        // dispatch-to-fence latency (Round)
 };
 
 // ---------------------------------------------------------------------------

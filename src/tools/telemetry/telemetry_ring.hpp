@@ -36,7 +36,7 @@
 //
 // Single producer, single consumer. "Single producer" means no two threads
 // push concurrently; handing the producer role across threads is fine when
-// the handoff itself synchronizes (the batch scheduler's per-wave fences do
+// the handoff itself synchronizes (the batch scheduler's per-round fences do
 // exactly that for a job's stepping thread).
 #pragma once
 

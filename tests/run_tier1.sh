@@ -15,8 +15,8 @@
 #                                 # `overlap on` on a device-built list,
 #                                 # per-instance tracks required
 #   tests/run_tier1.sh --server   # batch-server smoke: 4 jobs multiplexed
-#                                 # through the scheduler with cross-job
-#                                 # fusion, then the Server* suite (isolation,
+#                                 # through the scheduler in lockstep
+#                                 # rounds, then the Server* suite (isolation,
 #                                 # restart-mid-batch, fairness)
 #   tests/run_tier1.sh --telemetry # live-telemetry smoke: melt run with
 #                                 # MLK_TELEMETRY streaming snapshots +
@@ -124,10 +124,10 @@ elif [[ "$overlap_smoke" == 1 ]]; then
     "$repo/examples/in.melt_overlap" --require-instance-tracks
   echo "overlap smoke: OK"
 elif [[ "$server_smoke" == 1 ]]; then
-  # Submit 4 jobs through the batch scheduler (server_demo verifies correct,
-  # energy-conserving thermo per job and that cross-job fused launches
-  # happened), then the full Server* suite: bitwise per-job isolation (solo
-  # vs co-scheduled vs restart-mid-batch), fairness, failure containment.
+  # Submit 4 jobs through the batch scheduler (server_demo verifies each
+  # job's step count and energy-conserving thermo), then the full Server*
+  # suite: bitwise per-job isolation (solo vs co-scheduled vs
+  # restart-mid-batch), fairness, failure containment.
   "$build_dir/examples/server_demo"
   "$build_dir/tests/minilmp_tests" --gtest_filter='Server*'
   echo "server smoke: OK"

@@ -1,8 +1,8 @@
 // Batch-server tests (docs/SERVER.md): queue semantics, the per-job
 // isolation guarantee (bitwise-identical trajectories run alone vs
-// co-scheduled vs restarted from a job-set checkpoint mid-batch), cross-job
-// fused dispatch, scheduling fairness, failure containment, the jobset
-// manifest round trip, and the multi-Simulation static-state audit.
+// co-scheduled vs restarted from a job-set checkpoint mid-batch),
+// scheduling fairness, failure containment, the jobset manifest round trip,
+// and the multi-Simulation static-state audit.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -34,9 +34,10 @@ struct ScratchDir {
 };
 
 /// The server workload: LJ melt on a jittered fcc lattice, device (kk)
-/// pair style so the force phase is batchable, `neigh_modify every 10
-/// check no` so the rebuild schedule is deterministic and checkpoint steps
-/// (multiples of 10) coincide with natural rebuilds.
+/// pair style so every job computes its forces on the shared thread-pool
+/// Device, `neigh_modify every 10 check no` so the rebuild schedule is
+/// deterministic and checkpoint steps (multiples of 10) coincide with
+/// natural rebuilds.
 std::vector<std::string> melt_lines(int cells, double temp,
                                     double cutoff = 2.5,
                                     unsigned vseed = 87287) {
@@ -194,12 +195,12 @@ TEST(ServerSmoke, FourJobsCompleteWithConservedEnergy) {
 // ---------------------------------------------------- isolation (tentpole)
 
 // Each job's trajectory must be bitwise identical whether it runs alone or
-// co-scheduled with different neighbors — with batching and fan-out on, so
-// the fused zero+force launch and the pooled instances are both on trial.
+// co-scheduled with different neighbors — with fan-out on, so the pooled
+// instances are on trial.
 void expect_cohort_matches_solo() {
   init_all();
   // Different sizes, temperatures and cutoffs: neighbors differ in shape,
-  // and the mixed cutoffs exercise per-slice (not per-batch) coefficients.
+  // and each job keeps its own coefficients.
   const std::vector<JobSpec> specs = {
       melt_job("small-hot", 3, 1.44, 40),
       melt_job("small-cold", 3, 0.7, 40, 2.5, 12345),
@@ -209,19 +210,9 @@ void expect_cohort_matches_solo() {
   std::vector<SoloRun> solo;
   for (const JobSpec& s : specs) solo.push_back(solo_run(s.setup, s.steps));
 
-  JobQueue queue;
-  for (JobSpec s : specs) queue.submit(std::move(s));
-  queue.close();
   SchedulerConfig cfg;
   cfg.max_resident = 4;
-  Scheduler sched(queue, cfg);
-  sched.run();
-  const auto& results = sched.results();
-
-  // The cohort must actually have fused: eflag/rebuild steps (multiples of
-  // 10) run solo, everything else batches.
-  EXPECT_GT(sched.stats().fused_launches, 0);
-  EXPECT_GT(sched.stats().fused_jobs, sched.stats().fused_launches);
+  const auto results = run_jobs(specs, cfg);
 
   ASSERT_EQ(results.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -236,16 +227,15 @@ TEST(ServerIsolation, BitwiseIdenticalSoloVsCoScheduled) {
   expect_cohort_matches_solo();
 }
 
-// The same cohort on the packed row walk: the solo kernel and the fused
-// slice take the SIMD branch of the same row body.
+// The same cohort on the packed row walk: solo and co-scheduled jobs take
+// the SIMD branch of the same row body.
 TEST(ServerIsolation, BitwiseIdenticalSoloVsCoScheduledSimdOn) {
   testing::SimdGuard guard;
   kk::set_simd_enabled(true);
-  const std::uint64_t batch_before =
-      testing::simd_launches("PairComputeLJCut<Device>::batch");
+  const std::uint64_t before =
+      testing::simd_launches("PairComputeLJCut<Device>");
   expect_cohort_matches_solo();
-  EXPECT_GT(testing::simd_launches("PairComputeLJCut<Device>::batch"),
-            batch_before);
+  EXPECT_GT(testing::simd_launches("PairComputeLJCut<Device>"), before);
 }
 
 // Same guarantee with fan-out off (sequential phases on the scheduler

@@ -541,22 +541,27 @@ TEST(TelemetryHub, SchedulerEventsStreamThroughServerRun) {
   cfg.coords_every = 0;  // focus on the scheduler stream
   tel::Hub::instance().start(cfg);
 
+  // Two `suffix kk` jobs first, so they are co-resident under
+  // max_resident 2, then three plain-style jobs.
   std::vector<server::JobSpec> specs;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 5; ++i) {
+    const bool kk = i < 2;
     server::JobSpec spec;
-    spec.name = "tel" + std::to_string(i);
+    spec.name = (kk ? "tel_kk" : "tel") + std::to_string(i);
     spec.steps = 15;
     spec.setup = {"units lj",          "lattice fcc 0.8442",
                   "create_atoms 2 2 2 jitter 0.05 1234",
-                  "mass 1 1.0",        "velocity all create 1.44 87287",
-                  "pair_style lj/cut 2.5", "pair_coeff * * 1.0 1.0"};
+                  "mass 1 1.0",        "velocity all create 1.44 87287"};
+    if (kk) spec.setup.push_back("suffix kk");
+    spec.setup.push_back("pair_style lj/cut 2.5");
+    spec.setup.push_back("pair_coeff * * 1.0 1.0");
     specs.push_back(spec);
   }
   server::SchedulerConfig scfg;
   scfg.max_resident = 2;
   const auto results = server::run_jobs(specs, scfg);
 
-  ASSERT_EQ(results.size(), 3u);
+  ASSERT_EQ(results.size(), 5u);
   for (const auto& r : results) {
     EXPECT_EQ(r.state, server::JobState::Completed);
     // Satellite contract: each JobResult carries its telemetry summary,
@@ -568,27 +573,41 @@ TEST(TelemetryHub, SchedulerEventsStreamThroughServerRun) {
 
   tel::Hub::instance().stop();
 
-  // The NDJSON stream carries admit/round/finish scheduler events with
-  // queue-depth and wave-latency payloads.
+  // The NDJSON stream carries every job's step samples, each with the force
+  // time its own Pair section measured, and admit/round/finish scheduler
+  // events with queue-depth and round-latency payloads.
   std::ifstream nd(path + ".ndjson");
   ASSERT_TRUE(nd.good());
   std::string line;
-  int admits = 0, rounds = 0, finishes = 0;
+  int steps = 0, admits = 0, rounds = 0, finishes = 0;
   while (std::getline(nd, line)) {
     const json::Value v = json::parse(line);
+    if (v["type"].str == "step") {
+      ++steps;
+      EXPECT_GT(v["pair_ms"].number, 0.0)
+          << v["name"].str << " step " << v["step"].number;
+    }
     if (v["type"].str != "sched") continue;
     const std::string& kind = v["kind"].str;
     if (kind == "admit") ++admits;
-    if (kind == "round") ++rounds;
+    if (kind == "round") {
+      ++rounds;
+      EXPECT_GT(v["round_ms"].number, 0.0);
+    }
     if (kind == "finish") ++finishes;
     EXPECT_GE(v["queue_depth"].number, 0.0);
     EXPECT_GE(v["in_flight"].number, 0.0);
-    ASSERT_TRUE(v["wave_ms"].is_array());
-    EXPECT_EQ(v["wave_ms"].arr.size(), 3u);
+    EXPECT_TRUE(v["round_ms"].is_number());
   }
-  EXPECT_EQ(admits, 3);
-  EXPECT_EQ(finishes, 3);
-  EXPECT_GE(rounds, 15);  // >= 15 lockstep rounds to finish 15-step jobs
+  EXPECT_EQ(steps, 75);
+  EXPECT_EQ(admits, 5);
+  EXPECT_EQ(finishes, 5);
+  EXPECT_GE(rounds, 45);  // 15 lockstep rounds per pair of resident jobs
+
+  // The snapshot's server block carries the last round's latency.
+  const json::Value doc = json::parse(slurp(path));
+  ASSERT_TRUE(doc["server"].is_object());
+  EXPECT_GT(doc["server"]["round_ms"].number, 0.0);
 
   std::remove(path.c_str());
   std::remove((path + ".ndjson").c_str());
