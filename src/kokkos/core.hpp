@@ -1,5 +1,5 @@
 // minikokkos execution patterns: parallel_for / parallel_reduce /
-// parallel_scan over RangePolicy and MDRangePolicy, plus atomic helpers and
+// parallel_scan over RangePolicy, plus atomic helpers and
 // kernel-launch profiling hooks consumed by the performance model.
 //
 // Host space executes serially on the calling thread (the "one MPI rank per
@@ -42,28 +42,6 @@ struct RangePolicy {
   std::size_t end = 0;
   RangePolicy(std::size_t b, std::size_t e) : begin(b), end(e) {}
   explicit RangePolicy(std::size_t e) : begin(0), end(e) {}
-};
-
-/// Rank-2 / rank-3 multidimensional iteration with tiling, used by the SNAP
-/// tiled traversals (§4.3.2). Iteration order: tiles in row-major order of
-/// the tile grid; within a tile, row-major. The *first* policy dimension is
-/// distributed over threads on Device.
-template <class Space = DefaultExecutionSpace, int Rank = 2>
-struct MDRangePolicy {
-  using space = Space;
-  static constexpr int rank = Rank;
-  std::size_t lower[Rank] = {};
-  std::size_t upper[Rank] = {};
-  std::size_t tile[Rank] = {};
-  MDRangePolicy(std::initializer_list<std::size_t> up,
-                std::initializer_list<std::size_t> tiles = {}) {
-    int r = 0;
-    for (auto u : up) upper[r++] = u;
-    r = 0;
-    for (auto t : tiles) tile[r++] = t;
-    for (int i = 0; i < Rank; ++i)
-      if (tile[i] == 0) tile[i] = upper[i] > lower[i] ? upper[i] - lower[i] : 1;
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -125,58 +103,6 @@ void parallel_for(const std::string& name, RangePolicy<Space> p, const F& f) {
 template <class F>
 void parallel_for(const std::string& name, std::size_t n, const F& f) {
   parallel_for(name, RangePolicy<DefaultExecutionSpace>(n), f);
-}
-
-template <class Space, int Rank, class F>
-void parallel_for(const std::string& name, MDRangePolicy<Space, Rank> p,
-                  const F& f) {
-  static_assert(Rank == 2 || Rank == 3);
-  std::size_t span[Rank], ntile[Rank];
-  std::size_t total_tiles = 1;
-  for (int r = 0; r < Rank; ++r) {
-    span[r] = p.upper[r] - p.lower[r];
-    ntile[r] = (span[r] + p.tile[r] - 1) / p.tile[r];
-    if (ntile[r] == 0) ntile[r] = 1;
-    total_tiles *= ntile[r];
-  }
-  std::size_t items = 1;
-  for (int r = 0; r < Rank; ++r) items *= span[r];
-  profiling::ScopedKernel ev(profiling::KernelType::ParallelFor, name,
-                             Space::is_device, items);
-  if (items == 0) return;
-
-  auto run_tile = [&](std::size_t t) {
-    std::size_t tc[Rank];
-    std::size_t rem = t;
-    for (int r = Rank - 1; r >= 0; --r) {
-      tc[r] = rem % ntile[r];
-      rem /= ntile[r];
-    }
-    std::size_t lo[Rank], hi[Rank];
-    for (int r = 0; r < Rank; ++r) {
-      lo[r] = p.lower[r] + tc[r] * p.tile[r];
-      hi[r] = lo[r] + p.tile[r];
-      if (hi[r] > p.upper[r]) hi[r] = p.upper[r];
-    }
-    if constexpr (Rank == 2) {
-      for (std::size_t i = lo[0]; i < hi[0]; ++i)
-        for (std::size_t j = lo[1]; j < hi[1]; ++j) f(i, j);
-    } else {
-      for (std::size_t i = lo[0]; i < hi[0]; ++i)
-        for (std::size_t j = lo[1]; j < hi[1]; ++j)
-          for (std::size_t k = lo[2]; k < hi[2]; ++k) f(i, j, k);
-    }
-  };
-
-  if constexpr (Space::is_device) {
-    ThreadPool::instance().parallel(
-        total_tiles, [&](std::size_t b, std::size_t e, int rank) {
-          profiling::ScopedWorkerChunk wc(ev.id(), rank, b, e);
-          for (std::size_t t = b; t < e; ++t) run_tile(t);
-        });
-  } else {
-    for (std::size_t t = 0; t < total_tiles; ++t) run_tile(t);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@
 // op degrades to exactly one scalar op in the same order — when it is off.
 // The W == 1 instantiation therefore *is* the scalar reference path, which
 // is what makes the per-kernel equivalence policy of VECTORIZATION.md
-// checkable.
+// checkable. SNAP's lane kernels ignore the toggle and always run at the
+// native width: each lane replays the scalar operation sequence.
 //
 // Arithmetic lowers through GNU vector extensions (guaranteed SIMD codegen
 // at any optimization level); lane-structured operations (gather, select,
@@ -210,9 +211,9 @@ class simd {
   simd() : v_{} {}  // all lanes zero
   explicit simd(T s) {
 #if defined(MLK_SIMD_VECTOR_EXT)
-    // Scalar-to-vector broadcast (one splat, no per-lane subscript stores).
-    const storage z = {};
-    v_ = z + s;
+    // Scalar-to-vector broadcast: one splat, copying s bit for bit (adding
+    // s to a zero vector would turn -0.0 into +0.0).
+    *this = splat(s, std::make_integer_sequence<int, W>{});
 #else
     for (int l = 0; l < W; ++l) v_[l] = s;
 #endif
@@ -292,6 +293,8 @@ class simd {
   friend simd operator/(const simd& a, const simd& b) {
     return simd(storage(a.v_ / b.v_));
   }
+  // Negation flips the sign bit, as scalar -x does: -(+0.0) is -0.0.
+  friend simd operator-(const simd& a) { return simd(storage(-a.v_)); }
 #else
   friend simd operator+(const simd& a, const simd& b) {
     simd r;
@@ -313,8 +316,12 @@ class simd {
     for (int l = 0; l < W; ++l) r.v_[l] = a.v_[l] / b.v_[l];
     return r;
   }
+  friend simd operator-(const simd& a) {
+    simd r;
+    for (int l = 0; l < W; ++l) r.v_[l] = -a.v_[l];
+    return r;
+  }
 #endif
-  friend simd operator-(const simd& a) { return simd(T(0)) - a; }
 
   // Pack (x) scalar conveniences.
   friend simd operator+(const simd& a, T s) { return a + simd(s); }
@@ -386,6 +393,10 @@ class simd {
 
  private:
 #if defined(MLK_SIMD_VECTOR_EXT)
+  template <int... Ls>
+  static simd splat(T s, std::integer_sequence<int, Ls...>) {
+    return simd(storage{((void)Ls, s)...});
+  }
   template <class F, int... Ls>
   static simd gather_impl(F&& fn, std::integer_sequence<int, Ls...>) {
     return simd(storage{fn(Ls)...});

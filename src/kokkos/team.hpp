@@ -42,15 +42,32 @@ struct TeamPolicy {
   }
 };
 
+/// One cache line of team scratch. Arenas are arrays of these, so every
+/// arena starts 64-byte aligned and team_scratch<T>, which aligns offsets
+/// from the arena start, hands out addresses aligned for any kk::simd pack.
+struct alignas(64) ScratchLine {
+  unsigned char bytes[64];
+};
+static_assert(alignof(ScratchLine) >=
+              alignof(simd<double, native_simd_width>));
+using ScratchArena = std::unique_ptr<ScratchLine[]>;
+
+inline ScratchArena make_scratch_arena(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
+  return ScratchArena(new ScratchLine[(bytes + sizeof(ScratchLine) - 1) /
+                                      sizeof(ScratchLine)]);
+}
+
 class TeamMember {
  public:
   TeamMember(std::size_t league_rank, std::size_t league_size, int team_size,
-             int vector_length, char* scratch, std::size_t scratch_bytes)
+             int vector_length, ScratchLine* scratch,
+             std::size_t scratch_bytes)
       : league_rank_(league_rank),
         league_size_(league_size),
         team_size_(team_size),
         vector_length_(vector_length),
-        scratch_(scratch),
+        scratch_(reinterpret_cast<char*>(scratch)),
         scratch_bytes_(scratch_bytes) {}
 
   std::size_t league_rank() const { return league_rank_; }
@@ -188,13 +205,12 @@ void parallel_for(const std::string& name, const TeamPolicy<Space>& p,
     auto& pool = ThreadPool::instance();
     const int nmax = pool.concurrency();
     // One scratch arena per pool participant.
-    std::vector<std::unique_ptr<char[]>> scratch;
-    scratch.resize(std::size_t(nmax));
-    if (p.scratch_bytes > 0)
-      for (auto& s : scratch) s = std::make_unique<char[]>(p.scratch_bytes);
+    std::vector<ScratchArena> scratch;
+    for (int r = 0; r < nmax; ++r)
+      scratch.push_back(make_scratch_arena(p.scratch_bytes));
     pool.parallel(p.league_size, [&](std::size_t b, std::size_t e, int rank) {
       profiling::ScopedWorkerChunk wc(ev.id(), rank, b, e);
-      char* sp = p.scratch_bytes ? scratch[std::size_t(rank)].get() : nullptr;
+      ScratchLine* sp = scratch[std::size_t(rank)].get();
       for (std::size_t lr = b; lr < e; ++lr) {
         TeamMember member(lr, p.league_size, p.team_size, p.vector_length, sp,
                           p.scratch_bytes);
@@ -202,8 +218,7 @@ void parallel_for(const std::string& name, const TeamPolicy<Space>& p,
       }
     });
   } else {
-    std::unique_ptr<char[]> scratch;
-    if (p.scratch_bytes > 0) scratch = std::make_unique<char[]>(p.scratch_bytes);
+    const ScratchArena scratch = make_scratch_arena(p.scratch_bytes);
     for (std::size_t lr = 0; lr < p.league_size; ++lr) {
       TeamMember member(lr, p.league_size, p.team_size, p.vector_length,
                         scratch.get(), p.scratch_bytes);
@@ -225,13 +240,12 @@ void parallel_reduce(const std::string& name, const TeamPolicy<Space>& p,
     const int nmax = pool.concurrency();
     std::vector<T> partial;
     partial.assign(std::size_t(nmax), T(0));
-    std::vector<std::unique_ptr<char[]>> scratch;
-    scratch.resize(std::size_t(nmax));
-    if (p.scratch_bytes > 0)
-      for (auto& s : scratch) s = std::make_unique<char[]>(p.scratch_bytes);
+    std::vector<ScratchArena> scratch;
+    for (int r = 0; r < nmax; ++r)
+      scratch.push_back(make_scratch_arena(p.scratch_bytes));
     pool.parallel(p.league_size, [&](std::size_t b, std::size_t e, int rank) {
       profiling::ScopedWorkerChunk wc(ev.id(), rank, b, e);
-      char* sp = p.scratch_bytes ? scratch[std::size_t(rank)].get() : nullptr;
+      ScratchLine* sp = scratch[std::size_t(rank)].get();
       T local = T(0);
       for (std::size_t lr = b; lr < e; ++lr) {
         TeamMember member(lr, p.league_size, p.team_size, p.vector_length, sp,
@@ -242,8 +256,7 @@ void parallel_reduce(const std::string& name, const TeamPolicy<Space>& p,
     });
     for (const T& v : partial) result += v;
   } else {
-    std::unique_ptr<char[]> scratch;
-    if (p.scratch_bytes > 0) scratch = std::make_unique<char[]>(p.scratch_bytes);
+    const ScratchArena scratch = make_scratch_arena(p.scratch_bytes);
     for (std::size_t lr = 0; lr < p.league_size; ++lr) {
       TeamMember member(lr, p.league_size, p.team_size, p.vector_length,
                         scratch.get(), p.scratch_bytes);

@@ -21,17 +21,10 @@ void PairSNAPKokkos<Space>::set_ui_batch(int b) {
 }
 
 template <class Space>
-void PairSNAPKokkos<Space>::set_yi_tile(int v) {
-  yi_tile_ = v;
-  if (snakk_) snakk_->yi_tile = v;
-}
-
-template <class Space>
 void PairSNAPKokkos<Space>::init(Simulation& sim) {
   PairSNAP::init(sim);
   snakk_ = std::make_unique<snap::SNAKokkos<Space>>(params_);
   snakk_->ui_batch = ui_batch_;
-  snakk_->yi_tile = yi_tile_;
 }
 
 template <class Space>

@@ -17,16 +17,14 @@ class PairSNAPKokkos : public PairSNAP {
   void init(Simulation& sim) override;
   void compute(Simulation& sim, bool eflag) override;
 
-  /// Work-batching knobs (Table 2 reproduction).
+  /// Work-batching knob (Table 2 reproduction).
   void set_ui_batch(int b);
-  void set_yi_tile(int v);
 
   snap::SNAKokkos<Space>* kernels() { return snakk_.get(); }
 
  private:
   std::unique_ptr<snap::SNAKokkos<Space>> snakk_;
   int ui_batch_ = 4;
-  int yi_tile_ = 32;
 };
 
 void register_pair_snap_kokkos();

@@ -5,19 +5,26 @@
 // Device the atom index is fastest (coalescing), on the Host the quantum
 // number index is fastest (cache lines), exactly §4.3.1.
 //
-// Kernels and their paper optimizations:
-//   ComputeUi          — parallel over (atom, neighbor-batch); each thread
-//                        evaluates the recursion for `ui_batch` neighbors,
-//                        summing locally before atomically accumulating into
-//                        U_tot (Table 2's ComputeUi work batching). Staging
-//                        lives in team scratch (§4.4 software-managed cache).
-//   ComputeZi/Bi       — energy path, parallel over atoms.
-//   ComputeYi          — parallel over (atom-tile, flattened Z index) with a
-//                        tiled traversal of batch size `yi_tile` (§4.3.2's
-//                        3-d tiling, v = 32 on NVIDIA / 16 on Intel).
-//   ComputeFusedDeidrj — per (atom, neighbor): fused dU recursion over all
-//                        three directions + contraction with Y and inline
-//                        force accumulation (Table 2's fused kernel).
+// Every stage is one lane kernel at the native kk::simd width W. Each lane
+// replays the scalar operation sequence of the sna_recursion.hpp templates,
+// so results are bitwise those of a one-lane evaluation and no stage reads
+// the `simd` toggle (docs/VECTORIZATION.md). Lane buffers live in team
+// scratch (§4.4 software-managed cache).
+//   ComputeUi          — one team per atom, owning its U_tot row (no
+//                        atomics): the self term, then the U recursion with
+//                        lanes over W neighbors. Each `ui_batch` neighbors
+//                        are summed in order and added into the row in batch
+//                        order (Table 2's ComputeUi work batching).
+//   ComputeZi/Bi       — energy path. Zi: one team per block of W atoms,
+//                        lanes over atoms (§4.3.2's batching axis); Bi: per
+//                        atom.
+//   ComputeYi          — the Zi atom blocks, each zeroing its own Y rows and
+//                        adding beta-weighted Z into them in flat-Z order.
+//   ComputeFusedDeidrj — one team per (atom, chunk of W neighbors): fused dU
+//                        recursion over all three directions with lanes over
+//                        neighbors, the y·dU contraction per lane, then force
+//                        and virial updates lane by lane in neighbor order
+//                        (Table 2's fused kernel).
 #pragma once
 
 #include "engine/atom.hpp"
@@ -36,9 +43,8 @@ class SNAKokkos {
   const SnaIndexes& idx() const { return idx_; }
   int ncoeff() const { return idx_.idxb_max; }
 
-  // Tuning knobs (Table 2 / Fig. 2 of this reproduction).
-  int ui_batch = 4;   // neighbors per thread in ComputeUi
-  int yi_tile = 32;   // atom-tile width in ComputeYi ("v" of §4.3.2)
+  // Table 2's work-batching knob: neighbors summed per add into U_tot.
+  int ui_batch = 4;
 
   /// Stage neighbor data for nlocal atoms from an engine neighbor list
   /// (full style) — positions must be current in this Space.
@@ -58,7 +64,8 @@ class SNAKokkos {
   /// and returns the virial contribution.
   void compute_fused_deidrj(Atom& atom, double virial_out[6]);
 
-  // Staged per-atom views (exposed for tests/benches).
+  // Staged per-atom views (exposed for tests/benches). They persist across
+  // force calls and grow only when natom or maxneigh does.
   kk::View2D<double, Space> utot_r, utot_i;   // (natom, idxu_max)
   kk::View2D<double, Space> ylist_r, ylist_i; // (natom, idxu_max)
   kk::View2D<double, Space> zlist_r, zlist_i; // (natom, idxz_max)

@@ -1,6 +1,14 @@
-// Raw-buffer Wigner-U recursion shared by the host SNA calculator and the
-// SNAKokkos device kernels (which stage these buffers in team scratch —
-// the software-managed cache of §4.4).
+// Lane-generic SNAP recursions, the bodies of the SNAKokkos kernels (which
+// stage their buffers in team scratch — the software-managed cache of §4.4).
+//
+// Each function is one template over the value type T. `double` evaluates
+// one neighbor (or atom); `kk::simd<double, W>` evaluates W at once, lane l
+// holding the l-th. Every T operation is lanewise IEEE math in the scalar
+// source order and the per-entry constants (rootpq, Clebsch-Gordan, Y)
+// broadcast, so lane l of the pack instantiation is bitwise the `double`
+// instantiation on lane l's inputs (docs/VECTORIZATION.md). The kernels run
+// the pack instantiation; the `double` one is the reference the tests hold
+// each lane to.
 #pragma once
 
 #include <cmath>
@@ -20,25 +28,28 @@ inline void cayley_klein(double rfac0, double rmin0, double rcut, double r,
   if (dz0dr) *dz0dr = *z0 / r - (r * rscale0) * (r * r + *z0 * *z0) / (r * r);
 }
 
-/// U recursion for one neighbor into ur/ui (each idx.idxu_max doubles).
-inline void compute_u_raw(const SnaIndexes& idx, double x, double y, double z,
-                          double z0, double r, double* ur, double* ui) {
-  const double r0inv = 1.0 / std::sqrt(r * r + z0 * z0);
-  const double a_r = r0inv * z0, a_i = -r0inv * z;
-  const double b_r = r0inv * y, b_i = -r0inv * x;
+/// U recursion for one neighbor per lane into ur/ui (idx.idxu_max each).
+template <class T>
+inline void compute_u_lanes(const SnaIndexes& idx, const T& x, const T& y,
+                            const T& z, const T& z0, const T& r, T* ur,
+                            T* ui) {
+  using std::sqrt;
+  const T r0inv = 1.0 / sqrt(r * r + z0 * z0);
+  const T a_r = r0inv * z0, a_i = -r0inv * z;
+  const T b_r = r0inv * y, b_i = -r0inv * x;
   const auto& rootpq = idx.rootpq;
 
-  ur[0] = 1.0;
-  ui[0] = 0.0;
+  ur[0] = T(1.0);
+  ui[0] = T(0.0);
   for (int j = 1; j <= idx.twojmax; ++j) {
     int jju = idx.idxu_block[std::size_t(j)];
     int jjup = idx.idxu_block[std::size_t(j) - 1];
     for (int mb = 0; 2 * mb <= j; ++mb) {
-      ur[jju] = 0.0;
-      ui[jju] = 0.0;
+      ur[jju] = T(0.0);
+      ui[jju] = T(0.0);
       for (int ma = 0; ma < j; ++ma) {
         double rpq = rootpq(std::size_t(j - ma), std::size_t(j - mb));
-        const double pur = ur[jjup], pui = ui[jjup];
+        const T pur = ur[jjup], pui = ui[jjup];
         ur[jju] += rpq * (a_r * pur + a_i * pui);
         ui[jju] += rpq * (a_r * pui - a_i * pur);
         rpq = rootpq(std::size_t(ma) + 1, std::size_t(j - mb));
@@ -72,23 +83,25 @@ inline void compute_u_raw(const SnaIndexes& idx, double x, double y, double z,
   }
 }
 
-/// Simultaneous U and dU recursion for one neighbor. dur/dui are arrays of
-/// three buffers (x, y, z directions), each idx.idxu_max doubles. The
-/// switching-function chain rule is applied by the caller.
-inline void compute_du_raw(const SnaIndexes& idx, double x, double y, double z,
-                           double z0, double r, double dz0dr, double* ur,
-                           double* ui, double* const dur[3],
-                           double* const dui[3]) {
-  const double rinv = 1.0 / r;
-  const double ux = x * rinv, uy = y * rinv, uz = z * rinv;
-  const double r0inv = 1.0 / std::sqrt(r * r + z0 * z0);
-  const double a_r = z0 * r0inv, a_i = -z * r0inv;
-  const double b_r = y * r0inv, b_i = -x * r0inv;
-  const double dr0invdr = -r0inv * r0inv * r0inv * (r + z0 * dz0dr);
-  const double dr0inv[3] = {dr0invdr * ux, dr0invdr * uy, dr0invdr * uz};
-  const double dz0[3] = {dz0dr * ux, dz0dr * uy, dz0dr * uz};
+/// Simultaneous U and dU recursion for one neighbor per lane. dur/dui are
+/// arrays of three buffers (x, y, z directions), each idx.idxu_max values.
+/// The switching-function chain rule is applied by compute_dedr.
+template <class T>
+inline void compute_du_lanes(const SnaIndexes& idx, const T& x, const T& y,
+                             const T& z, const T& z0, const T& r,
+                             const T& dz0dr, T* ur, T* ui, T* const dur[3],
+                             T* const dui[3]) {
+  using std::sqrt;
+  const T rinv = 1.0 / r;
+  const T ux = x * rinv, uy = y * rinv, uz = z * rinv;
+  const T r0inv = 1.0 / sqrt(r * r + z0 * z0);
+  const T a_r = z0 * r0inv, a_i = -z * r0inv;
+  const T b_r = y * r0inv, b_i = -x * r0inv;
+  const T dr0invdr = -r0inv * r0inv * r0inv * (r + z0 * dz0dr);
+  const T dr0inv[3] = {dr0invdr * ux, dr0invdr * uy, dr0invdr * uz};
+  const T dz0[3] = {dz0dr * ux, dz0dr * uy, dz0dr * uz};
 
-  double da_r[3], da_i[3], db_r[3], db_i[3];
+  T da_r[3], da_i[3], db_r[3], db_i[3];
   for (int k = 0; k < 3; ++k) {
     da_r[k] = dz0[k] * r0inv + z0 * dr0inv[k];
     da_i[k] = -z * dr0inv[k];
@@ -99,11 +112,11 @@ inline void compute_du_raw(const SnaIndexes& idx, double x, double y, double z,
   db_r[1] += r0inv;
   db_i[0] += -r0inv;
 
-  ur[0] = 1.0;
-  ui[0] = 0.0;
+  ur[0] = T(1.0);
+  ui[0] = T(0.0);
   for (int k = 0; k < 3; ++k) {
-    dur[k][0] = 0.0;
-    dui[k][0] = 0.0;
+    dur[k][0] = T(0.0);
+    dui[k][0] = T(0.0);
   }
   const auto& rootpq = idx.rootpq;
 
@@ -111,19 +124,19 @@ inline void compute_du_raw(const SnaIndexes& idx, double x, double y, double z,
     int jju = idx.idxu_block[std::size_t(j)];
     int jjup = idx.idxu_block[std::size_t(j) - 1];
     for (int mb = 0; 2 * mb <= j; ++mb) {
-      ur[jju] = 0.0;
-      ui[jju] = 0.0;
+      ur[jju] = T(0.0);
+      ui[jju] = T(0.0);
       for (int k = 0; k < 3; ++k) {
-        dur[k][jju] = 0.0;
-        dui[k][jju] = 0.0;
+        dur[k][jju] = T(0.0);
+        dui[k][jju] = T(0.0);
       }
       for (int ma = 0; ma < j; ++ma) {
-        const double pur = ur[jjup], pui = ui[jjup];
+        const T pur = ur[jjup], pui = ui[jjup];
         double rpq = rootpq(std::size_t(j - ma), std::size_t(j - mb));
         ur[jju] += rpq * (a_r * pur + a_i * pui);
         ui[jju] += rpq * (a_r * pui - a_i * pur);
         for (int k = 0; k < 3; ++k) {
-          const double pdur = dur[k][jjup], pdui = dui[k][jjup];
+          const T pdur = dur[k][jjup], pdui = dui[k][jjup];
           dur[k][jju] +=
               rpq * (da_r[k] * pur + da_i[k] * pui + a_r * pdur + a_i * pdui);
           dui[k][jju] +=
@@ -133,7 +146,7 @@ inline void compute_du_raw(const SnaIndexes& idx, double x, double y, double z,
         ur[jju + 1] = -rpq * (b_r * pur + b_i * pui);
         ui[jju + 1] = -rpq * (b_r * pui - b_i * pur);
         for (int k = 0; k < 3; ++k) {
-          const double pdur = dur[k][jjup], pdui = dui[k][jjup];
+          const T pdur = dur[k][jjup], pdui = dui[k][jjup];
           dur[k][jju + 1] =
               -rpq * (db_r[k] * pur + db_i[k] * pui + b_r * pdur + b_i * pdui);
           dui[k][jju + 1] =
@@ -174,24 +187,25 @@ inline void compute_du_raw(const SnaIndexes& idx, double x, double y, double z,
   }
 }
 
-/// Z triple product for one idxz entry from a U accessor (callable
-/// u(flat_index) -> pair-like {re, im} via two callables).
-template <class GetUr, class GetUi>
+/// Z triple product for one idxz entry, one atom per lane: ur/ui are the
+/// atoms' U rows (idx.idxu_max values each). In the kernels the lanes are a
+/// block of W atoms walking the same flat indices — the §4.3.2 batching
+/// axis — so only the U values vary per lane.
+template <class T>
 inline void compute_z_entry(const SnaIndexes& idx, const SnaIndexes::ZEntry& e,
-                            const GetUr& get_ur, const GetUi& get_ui,
-                            double* z_r, double* z_i) {
+                            const T* ur, const T* ui, T* z_r, T* z_i) {
   const double* cgblock = idx.cglist.data() + idx.cg_offset(e.j1, e.j2, e.j);
-  double zr = 0.0, zi = 0.0;
+  T zr = T(0.0), zi = T(0.0);
   int jju1 = idx.idxu_block[std::size_t(e.j1)] + (e.j1 + 1) * e.mb1min;
   int jju2 = idx.idxu_block[std::size_t(e.j2)] + (e.j2 + 1) * e.mb2max;
   int icgb = e.mb1min * (e.j2 + 1) + e.mb2max;
   for (int ib = 0; ib < e.nb; ++ib) {
-    double suma1_r = 0.0, suma1_i = 0.0;
+    T suma1_r = T(0.0), suma1_i = T(0.0);
     int ma1 = e.ma1min, ma2 = e.ma2max;
     int icga = e.ma1min * (e.j2 + 1) + e.ma2max;
     for (int ia = 0; ia < e.na; ++ia) {
-      const double u1r = get_ur(jju1 + ma1), u1i = get_ui(jju1 + ma1);
-      const double u2r = get_ur(jju2 + ma2), u2i = get_ui(jju2 + ma2);
+      const T u1r = ur[jju1 + ma1], u1i = ui[jju1 + ma1];
+      const T u2r = ur[jju2 + ma2], u2i = ui[jju2 + ma2];
       const double cga = cgblock[icga];
       suma1_r += cga * (u1r * u2r - u1i * u2i);
       suma1_i += cga * (u1r * u2i + u1i * u2r);
@@ -209,56 +223,36 @@ inline void compute_z_entry(const SnaIndexes& idx, const SnaIndexes::ZEntry& e,
   *z_i = zi;
 }
 
-/// Z triple product for one idxz entry evaluated for W atoms at once — the
-/// §4.3.2 batching axis. Every lane walks the *same* flat U indices, so the
-/// only data that varies per lane is the atom row: LoadUr/LoadUi map a flat
-/// index k to the pack of u[k] values across the W atoms (one contiguous
-/// vector load under Device LayoutLeft, a gather otherwise), and the CG
-/// coefficients broadcast. Each lane performs exactly the scalar
-/// compute_z_entry operation sequence — no reassociation — so lane l's
-/// result is bitwise-identical to the scalar evaluation for atom l
-/// (docs/VECTORIZATION.md policy table).
-template <int W, class LoadUr, class LoadUi>
-inline void compute_z_entry_lanes(const SnaIndexes& idx,
-                                  const SnaIndexes::ZEntry& e,
-                                  const LoadUr& load_ur, const LoadUi& load_ui,
-                                  kk::simd<double, W>* z_r,
-                                  kk::simd<double, W>* z_i) {
-  using pd = kk::simd<double, W>;
-  const double* cgblock = idx.cglist.data() + idx.cg_offset(e.j1, e.j2, e.j);
-  pd zr, zi;
-  int jju1 = idx.idxu_block[std::size_t(e.j1)] + (e.j1 + 1) * e.mb1min;
-  int jju2 = idx.idxu_block[std::size_t(e.j2)] + (e.j2 + 1) * e.mb2max;
-  int icgb = e.mb1min * (e.j2 + 1) + e.mb2max;
-  for (int ib = 0; ib < e.nb; ++ib) {
-    pd suma1_r, suma1_i;
-    int ma1 = e.ma1min, ma2 = e.ma2max;
-    int icga = e.ma1min * (e.j2 + 1) + e.ma2max;
-    for (int ia = 0; ia < e.na; ++ia) {
-      const pd u1r = load_ur(jju1 + ma1), u1i = load_ui(jju1 + ma1);
-      const pd u2r = load_ur(jju2 + ma2), u2i = load_ui(jju2 + ma2);
-      const double cga = cgblock[icga];
-      suma1_r += cga * (u1r * u2r - u1i * u2i);
-      suma1_i += cga * (u1r * u2i + u1i * u2r);
-      ++ma1;
-      --ma2;
-      icga += e.j2;
+/// dE_i/dr_ij for one neighbor per lane: contracts d(sfac*U)/dr with the
+/// atom's Y row over the half-plus-middle-row of each j (weights 1 and 1/2),
+/// in flat jju order. s/ds are the switching function and its derivative,
+/// u3 the unit vector; get_yr/get_yi map jju to the Y row, which every lane
+/// shares (all lanes are neighbors of one atom).
+template <class T, class GetYr, class GetYi>
+inline void compute_dedr(const SnaIndexes& idx, const T* ur, const T* ui,
+                         const T* const dur[3], const T* const dui[3],
+                         const T& s, const T& ds, const T u3[3],
+                         const GetYr& get_yr, const GetYi& get_yi, T fij[3]) {
+  for (int k = 0; k < 3; ++k) fij[k] = T(0.0);
+  const auto accum = [&](int jju, double w) {
+    const double y_r = get_yr(jju), y_i = get_yi(jju);
+    for (int k = 0; k < 3; ++k) {
+      const T dre = ds * ur[jju] * u3[k] + s * dur[k][jju];
+      const T dim = ds * ui[jju] * u3[k] + s * dui[k][jju];
+      fij[k] += w * (dre * y_r + dim * y_i);
     }
-    zr += cgblock[icgb] * suma1_r;
-    zi += cgblock[icgb] * suma1_i;
-    jju1 += e.j1 + 1;
-    jju2 -= e.j2 + 1;
-    icgb += e.j2;
+  };
+  for (int j = 0; j <= idx.twojmax; ++j) {
+    int jju = idx.idxu_block[std::size_t(j)];
+    for (int mb = 0; 2 * mb < j; ++mb)
+      for (int ma = 0; ma <= j; ++ma) accum(jju++, 1.0);
+    if (j % 2 == 0) {
+      const int mb = j / 2;
+      for (int ma = 0; ma < mb; ++ma) accum(jju++, 1.0);
+      accum(jju, 0.5);
+    }
   }
-  *z_r = zr;
-  *z_i = zi;
-}
-
-/// Symmetry-weighted beta lookup for the Y accumulation (§4.3.2),
-/// pre-resolved at index-build time.
-inline double beta_weight(const SnaIndexes&, const SnaIndexes::ZEntry& e,
-                          const double* beta) {
-  return beta[e.jjb] * e.beta_fac;
+  for (int k = 0; k < 3; ++k) fij[k] = fij[k] * 2.0;
 }
 
 }  // namespace mlk::snap

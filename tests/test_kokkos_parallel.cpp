@@ -100,29 +100,6 @@ TYPED_TEST(ParallelPatterns, ScanEmptyRange) {
   EXPECT_EQ(total, 0);
 }
 
-TYPED_TEST(ParallelPatterns, MDRange2DCoversAllPairsOnce) {
-  using Space = TypeParam;
-  const std::size_t ni = 37, nj = 53;
-  std::vector<std::atomic<int>> hits(ni * nj);
-  kk::MDRangePolicy<Space, 2> p({ni, nj}, {8, 16});
-  kk::parallel_for("t::md2", p, [&](std::size_t i, std::size_t j) {
-    hits[i * nj + j].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TYPED_TEST(ParallelPatterns, MDRange3DCoversAllTriplesOnce) {
-  using Space = TypeParam;
-  const std::size_t ni = 9, nj = 11, nk = 13;
-  std::vector<std::atomic<int>> hits(ni * nj * nk);
-  kk::MDRangePolicy<Space, 3> p({ni, nj, nk}, {4, 4, 4});
-  kk::parallel_for("t::md3", p,
-                   [&](std::size_t i, std::size_t j, std::size_t k) {
-                     hits[(i * nj + j) * nk + k].fetch_add(1);
-                   });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TYPED_TEST(ParallelPatterns, NestedDispatchRunsInline) {
   using Space = TypeParam;
   std::atomic<int> count{0};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "kokkos/team.hpp"
@@ -68,6 +69,33 @@ TEST(Team, ScratchOverSubscriptionReturnsNull) {
     double* b = m.team_scratch<double>(1);  // over budget
     EXPECT_EQ(b, nullptr);
   });
+}
+
+template <class Space>
+void expect_scratch_packs_aligned() {
+  using pd = kk::simd<double, kk::native_simd_width>;
+  constexpr std::size_t kPacks = 5;
+  auto policy = kk::TeamPolicy<Space>(8, 1).set_scratch_size(
+      sizeof(double) + alignof(pd) + kPacks * sizeof(pd));
+  std::atomic<int> misaligned{0};
+  kk::parallel_for("team::scratch_align", policy, [&](const kk::TeamMember& m) {
+    double* d = m.team_scratch<double>(1);  // pushes the offset off a line
+    pd* packs = m.team_scratch<pd>(kPacks);
+    ASSERT_NE(d, nullptr);
+    ASSERT_NE(packs, nullptr);
+    if (reinterpret_cast<std::uintptr_t>(packs) % alignof(pd) != 0)
+      misaligned.fetch_add(1);
+    for (std::size_t k = 0; k < kPacks; ++k) packs[k] = pd(double(k));
+    EXPECT_EQ(packs[kPacks - 1][0], double(kPacks - 1));
+  });
+  EXPECT_EQ(misaligned.load(), 0);
+}
+
+TEST(Team, ScratchPacksAreAlignedInBothSpaces) {
+  // Pack arrays in team scratch need addresses aligned to alignof(pack): the
+  // arena itself starts on a cache line, and team_scratch aligns offsets.
+  expect_scratch_packs_aligned<kk::Host>();
+  expect_scratch_packs_aligned<kk::Device>();
 }
 
 TEST(Team, LeagueReduction) {

@@ -3,11 +3,14 @@
 // the scalar operation order, tolerance where lane reductions reassociate.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "kokkos/simd.hpp"
+#include "snap/sna.hpp"
 #include "snap/sna_recursion.hpp"
 #include "test_helpers.hpp"
 
@@ -47,6 +50,27 @@ TEST(SimdPack, ArithmeticIsLanewiseExact) {
   c += b;
   c *= a;
   for (int l = 0; l < 4; ++l) EXPECT_EQ(c[l], (av[l] + bv[l]) * av[l]);
+}
+
+template <int W>
+void expect_negation_flips_sign_bit() {
+  using pw = kk::simd<double, W>;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double in[4] = {0.0, -0.0, nan, -nan};
+  for (double v : in) {
+    const pw neg = -pw(v);
+    for (int l = 0; l < W; ++l)
+      EXPECT_NE(std::signbit(neg[l]), std::signbit(v))
+          << "W " << W << " lane " << l << " input " << v;
+  }
+}
+
+TEST(SimdPack, NegationFlipsSignBitLikeScalar) {
+  // Scalar -x flips the sign bit, so -(+0.0) is -0.0 and a NaN's sign
+  // flips; each lane must do the same, or lane results that negate a zero
+  // (the SNAP U mirror) stop matching the scalar bit for bit.
+  expect_negation_flips_sign_bit<1>();
+  expect_negation_flips_sign_bit<kk::native_simd_width>();
 }
 
 TEST(SimdPack, ComparisonsAndSelect) {
@@ -196,41 +220,177 @@ TEST(SimdInput, ScriptCommandTogglesPackPath) {
   EXPECT_FALSE(kk::simd_enabled());
 }
 
-// --- SNAP Z-entry lane evaluation vs the scalar triple product -------------
+// --- SNAP lane templates vs their double instantiation ----------------------
+
+constexpr int NW = kk::native_simd_width;
+using pn = kk::simd<double, NW>;
+
+/// Lane l of a pack array as a plain array, for byte comparison.
+std::vector<double> lane_of(const std::vector<pn>& v, int l) {
+  std::vector<double> out(v.size());
+  for (std::size_t k = 0; k < v.size(); ++k) out[k] = v[k][l];
+  return out;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
 TEST(SimdSnap, ZEntryLanesBitwiseMatchScalarPerLane) {
   snap::SnaIndexes idx;
   idx.build(6);
-  // Synthetic U tables for 4 "atoms": smooth deterministic values.
+  // Synthetic U tables for NW "atoms": smooth deterministic values.
   const int n = idx.idxu_max;
-  std::vector<double> ur(std::size_t(4 * n)), ui(std::size_t(4 * n));
-  for (int a = 0; a < 4; ++a)
+  std::vector<double> ur(std::size_t(NW * n)), ui(std::size_t(NW * n));
+  for (int a = 0; a < NW; ++a)
     for (int k = 0; k < n; ++k) {
       ur[std::size_t(a * n + k)] = std::sin(0.1 * k + a) / (1.0 + 0.01 * k);
       ui[std::size_t(a * n + k)] = std::cos(0.07 * k - a) * 0.5;
     }
+  const std::size_t nu = std::size_t(n);
+  std::vector<pn> ur_p(nu), ui_p(nu);
+  for (int k = 0; k < n; ++k) {
+    ur_p[std::size_t(k)] =
+        pn::gather([&](int l) { return ur[std::size_t(l * n + k)]; });
+    ui_p[std::size_t(k)] =
+        pn::gather([&](int l) { return ui[std::size_t(l * n + k)]; });
+  }
   for (int jjz = 0; jjz < idx.idxz_max; jjz += 7) {
     const auto& e = idx.idxz[std::size_t(jjz)];
-    pd zr_l, zi_l;
-    snap::compute_z_entry_lanes<4>(
-        idx, e,
-        [&](int k) {
-          return pd::gather([&](int l) { return ur[std::size_t(l * n + k)]; });
-        },
-        [&](int k) {
-          return pd::gather([&](int l) { return ui[std::size_t(l * n + k)]; });
-        },
-        &zr_l, &zi_l);
-    for (int l = 0; l < 4; ++l) {
+    pn zr_l, zi_l;
+    snap::compute_z_entry(idx, e, ur_p.data(), ui_p.data(), &zr_l, &zi_l);
+    for (int l = 0; l < NW; ++l) {
       double zr_s, zi_s;
-      snap::compute_z_entry(
-          idx, e, [&](int k) { return ur[std::size_t(l * n + k)]; },
-          [&](int k) { return ui[std::size_t(l * n + k)]; }, &zr_s, &zi_s);
+      snap::compute_z_entry(idx, e, ur.data() + l * n, ui.data() + l * n,
+                            &zr_s, &zi_s);
       // Lanes repeat the scalar op sequence exactly: bitwise policy.
       EXPECT_EQ(zr_l[l], zr_s) << "jjz " << jjz << " lane " << l;
       EXPECT_EQ(zi_l[l], zi_s) << "jjz " << jjz << " lane " << l;
     }
   }
+}
+
+/// One neighbor as the SNAP kernels stage it: displacement, distance and
+/// its Cayley-Klein z0, dz0/dr.
+struct Neighbor {
+  double x, y, z, r, z0, dz0dr;
+};
+
+/// Neighbor geometries for the lane tests: generic directions, one just
+/// inside rcut, two on the z axis (where b = 0, so the U mirror negates
+/// zeros) and one on the x axis. There are more than NW of them, so the last
+/// chunk pads its lanes with the last neighbor, as the kernels do.
+std::vector<Neighbor> lane_geometries(const snap::SnaParams& p) {
+  std::vector<std::array<double, 3>> d = {
+      {1.2, -0.7, 2.1}, {0.0, 0.0, 2.5},   {0.31, 0.52, -0.79},
+      {2.7, 0.0, 0.0},  {0.0, 0.0, -1.9},  {-1.4, 2.2, 0.6}};
+  const double nr = 0.999 * p.rcut / std::sqrt(0.09 + 0.25 + 0.6561);
+  d.push_back({0.3 * nr, -0.5 * nr, 0.81 * nr});  // just inside rcut
+  while (d.size() % std::size_t(NW) == 0) d.push_back({0.9, 0.4, -1.1});
+  std::vector<Neighbor> out;
+  for (const auto& v : d) {
+    Neighbor q{v[0], v[1], v[2], 0.0, 0.0, 0.0};
+    q.r = std::sqrt(q.x * q.x + q.y * q.y + q.z * q.z);
+    snap::cayley_klein(p.rfac0, p.rmin0, p.rcut, q.r, &q.z0, &q.dz0dr);
+    out.push_back(q);
+  }
+  return out;
+}
+
+/// Calls f(chunk lanes as packs, lane -> neighbor) for each chunk of NW
+/// neighbors, padding the last chunk with the last neighbor.
+template <class F>
+void for_each_chunk(const std::vector<Neighbor>& g, const F& f) {
+  for (std::size_t c = 0; c < g.size(); c += std::size_t(NW)) {
+    const auto lane = [&](int l) -> const Neighbor& {
+      return g[std::min(c + std::size_t(l), g.size() - 1)];
+    };
+    const auto pack = [&](double Neighbor::*m) {
+      return pn::gather([&](int l) { return lane(l).*m; });
+    };
+    f(pack, lane);
+  }
+}
+
+TEST(SimdSnap, ULanesBitwiseMatchScalarPerLane) {
+  snap::SnaParams p;
+  p.twojmax = 8;
+  p.rcut = 4.7;
+  snap::SnaIndexes idx;
+  idx.build(p.twojmax);
+  const std::size_t n = std::size_t(idx.idxu_max);
+  std::vector<pn> ur(n), ui(n);
+  std::vector<double> sr(n), si(n);
+  for_each_chunk(lane_geometries(p), [&](const auto& pack, const auto& lane) {
+    snap::compute_u_lanes(idx, pack(&Neighbor::x), pack(&Neighbor::y),
+                          pack(&Neighbor::z), pack(&Neighbor::z0),
+                          pack(&Neighbor::r), ur.data(), ui.data());
+    for (int l = 0; l < NW; ++l) {
+      const Neighbor& q = lane(l);
+      snap::compute_u_lanes(idx, q.x, q.y, q.z, q.z0, q.r, sr.data(),
+                            si.data());
+      EXPECT_TRUE(same_bytes(lane_of(ur, l), sr)) << "ur lane " << l;
+      EXPECT_TRUE(same_bytes(lane_of(ui, l), si)) << "ui lane " << l;
+    }
+  });
+}
+
+TEST(SimdSnap, DULanesAndForceContractionBitwiseMatchScalarPerLane) {
+  snap::SnaParams p;
+  p.twojmax = 8;
+  p.rcut = 4.7;
+  snap::SnaIndexes idx;
+  idx.build(p.twojmax);
+  const std::size_t n = std::size_t(idx.idxu_max);
+  // A synthetic Y row, shared by every lane as in ComputeFusedDeidrj.
+  std::vector<double> yr(n), yi(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    yr[k] = std::cos(0.13 * double(k)) * 0.7;
+    yi[k] = std::sin(0.05 * double(k) + 1.0);
+  }
+  const auto get_yr = [&](int k) { return yr[std::size_t(k)]; };
+  const auto get_yi = [&](int k) { return yi[std::size_t(k)]; };
+  // Switching-function stand-ins: smooth in r, different on every lane.
+  const auto sw = [&](double r) { return 1.0 - r / p.rcut; };
+  const auto dsw = [&](double r) { return -0.5 * r / p.rcut; };
+
+  std::vector<std::vector<pn>> pk(8, std::vector<pn>(n));
+  std::vector<std::vector<double>> sc(8, std::vector<double>(n));
+  pn* dur_p[3] = {pk[2].data(), pk[3].data(), pk[4].data()};
+  pn* dui_p[3] = {pk[5].data(), pk[6].data(), pk[7].data()};
+  double* dur_s[3] = {sc[2].data(), sc[3].data(), sc[4].data()};
+  double* dui_s[3] = {sc[5].data(), sc[6].data(), sc[7].data()};
+  for_each_chunk(lane_geometries(p), [&](const auto& pack, const auto& lane) {
+    const pn x = pack(&Neighbor::x), y = pack(&Neighbor::y),
+             z = pack(&Neighbor::z), r = pack(&Neighbor::r);
+    snap::compute_du_lanes(idx, x, y, z, pack(&Neighbor::z0), r,
+                           pack(&Neighbor::dz0dr), pk[0].data(), pk[1].data(),
+                           dur_p, dui_p);
+    const pn u3[3] = {x / r, y / r, z / r};
+    pn fij[3];
+    snap::compute_dedr(idx, pk[0].data(), pk[1].data(), dur_p, dui_p,
+                       pn::gather([&](int l) { return sw(r[l]); }),
+                       pn::gather([&](int l) { return dsw(r[l]); }), u3,
+                       get_yr, get_yi, fij);
+    for (int l = 0; l < NW; ++l) {
+      const Neighbor& q = lane(l);
+      snap::compute_du_lanes(idx, q.x, q.y, q.z, q.z0, q.r, q.dz0dr,
+                             sc[0].data(), sc[1].data(), dur_s, dui_s);
+      for (std::size_t b = 0; b < 8; ++b)
+        EXPECT_TRUE(same_bytes(lane_of(pk[b], l), sc[b]))
+            << "buffer " << b << " lane " << l;
+      const double u3s[3] = {q.x / q.r, q.y / q.r, q.z / q.r};
+      double fs[3];
+      snap::compute_dedr(idx, sc[0].data(), sc[1].data(), dur_s, dui_s,
+                         sw(q.r), dsw(q.r), u3s, get_yr, get_yi, fs);
+      for (int k = 0; k < 3; ++k) {
+        const double fl = fij[k][l];
+        EXPECT_EQ(std::memcmp(&fl, &fs[k], sizeof(double)), 0)
+            << "fij[" << k << "] lane " << l << ": " << fl << " vs " << fs[k];
+      }
+    }
+  });
 }
 
 // --- Scalar-vs-SIMD trajectory equivalence ---------------------------------
@@ -267,41 +427,6 @@ TEST(SimdEquivalence, MeltTrajectoryMatchesScalarWithinTolerance) {
   for (std::size_t k = 0; k < scalar.x.size(); ++k)
     EXPECT_NEAR(simd.x[k], scalar.x[k], 1e-8)
         << "coordinate " << k << " diverged";
-}
-
-std::vector<double> snap_forces(bool simd) {
-  SimdGuard guard;
-  kk::set_simd_enabled(simd);
-  init_all();
-  Simulation sim;
-  Input in(sim);
-  in.line("units metal");
-  in.line("lattice bcc 3.16");
-  in.line("create_atoms 3 3 3 jitter 0.04 5511");
-  in.line("mass 1 183.84");
-  in.line("pair_style snap/kk");
-  in.line("pair_coeff * * 4.7 6 7771");
-  sim.thermo.print = false;
-  testing::total_pe(sim);
-  sim.atom.sync<kk::Host>(F_MASK);
-  std::vector<double> f;
-  for (localint i = 0; i < sim.atom.nlocal; ++i)
-    for (int d = 0; d < 3; ++d)
-      f.push_back(sim.atom.k_f.h_view(std::size_t(i), std::size_t(d)));
-  return f;
-}
-
-TEST(SimdEquivalence, SnapForcesMatchScalarWithinTolerance) {
-  // Ui accumulation and the Zi/Yi atom-lane path are bitwise; the fused
-  // dEi/dRj contraction reduces lane partials (tolerance policy), so the
-  // net forces are compared to tight tolerance rather than bitwise.
-  const std::vector<double> scalar = snap_forces(false);
-  const std::vector<double> simd = snap_forces(true);
-  ASSERT_EQ(scalar.size(), simd.size());
-  double fmax = 1.0;
-  for (double v : scalar) fmax = std::max(fmax, std::abs(v));
-  for (std::size_t k = 0; k < scalar.size(); ++k)
-    EXPECT_NEAR(simd[k], scalar[k], 1e-10 * fmax) << "component " << k;
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "snap/pair_snap.hpp"
 #include "snap/pair_snap_kokkos.hpp"
 #include "test_helpers.hpp"
+#include "tools/memory_tracker.hpp"
 
 namespace mlk {
 namespace {
@@ -78,7 +79,7 @@ TEST(SNAPHost, PerfectLatticeHasZeroForce) {
 }
 
 template <class Space>
-void expect_matches_host(int ui_batch, int yi_tile) {
+void expect_matches_host(int ui_batch) {
   auto ref = make_snap_system("snap");
   const double e_ref = total_pe(*ref);
   ref->atom.sync<kk::Host>(F_MASK);
@@ -87,7 +88,6 @@ void expect_matches_host(int ui_batch, int yi_tile) {
   auto* pair = dynamic_cast<PairSNAPKokkos<Space>*>(sim->pair.get());
   ASSERT_NE(pair, nullptr);
   pair->set_ui_batch(ui_batch);
-  pair->set_yi_tile(yi_tile);
   const double e = total_pe(*sim);
   EXPECT_NEAR(e, e_ref, 1e-9 * std::max(1.0, std::abs(e_ref)));
 
@@ -103,15 +103,40 @@ void expect_matches_host(int ui_batch, int yi_tile) {
 }
 
 TEST(SNAPKokkos, DeviceMatchesHostBatch1) {
-  expect_matches_host<kk::Device>(1, 32);
+  expect_matches_host<kk::Device>(1);
+}
+TEST(SNAPKokkos, DeviceMatchesHostBatch2) {
+  expect_matches_host<kk::Device>(2);
 }
 TEST(SNAPKokkos, DeviceMatchesHostBatch4) {
-  expect_matches_host<kk::Device>(4, 32);
+  expect_matches_host<kk::Device>(4);
 }
-TEST(SNAPKokkos, DeviceMatchesHostTile16) {
-  expect_matches_host<kk::Device>(2, 16);
+TEST(SNAPKokkos, HostSpaceMatches) { expect_matches_host<kk::Host>(4); }
+
+TEST(SNAPKokkos, StagedViewsAreReusedAcrossForceCalls) {
+  // The staged neighbor tables and per-atom U/Y rows persist across force
+  // calls: after the first one, a run of snap/kk steps allocates no Device
+  // memory.
+  auto sim = make_snap_system("snap/kk");
+  Input in(*sim);
+  in.line("velocity all create 600.0 9182");
+  in.line("timestep 0.0005");
+  in.line("fix 1 all nve/kk");
+  in.line("thermo 5");
+  auto mem = std::make_shared<tools::MemorySpaceTracker>();
+  kk::profiling::register_tool(mem);
+  in.line("run 1");
+  const auto device_allocs = [&] {
+    const auto stats = mem->stats();
+    const auto it = stats.find("Device");
+    return it == stats.end() ? std::uint64_t(0) : it->second.alloc_count;
+  };
+  const std::uint64_t after_first = device_allocs();
+  EXPECT_GT(after_first, 0u);
+  in.line("run 20");
+  EXPECT_EQ(device_allocs(), after_first);
+  kk::profiling::deregister_tool(mem);
 }
-TEST(SNAPKokkos, HostSpaceMatches) { expect_matches_host<kk::Host>(4, 32); }
 
 TEST(SNAPKokkos, BatchingChangesNothingNumerically) {
   // Table 2's knobs are performance-only: results identical across batch
@@ -130,19 +155,26 @@ TEST(SNAPKokkos, BatchingChangesNothingNumerically) {
   EXPECT_NEAR(e1, e8, 1e-10 * std::abs(e1));
 }
 
-TEST(SNAP, EnergyConservedInNVE) {
-  auto sim = make_snap_system("snap", 3);
+void expect_nve_conserves_energy(const std::string& style,
+                                 const std::string& fix) {
+  auto sim = make_snap_system(style, 3);
   Input in(*sim);
   in.line("velocity all create 600.0 9182");
   in.line("timestep 0.0005");
-  in.line("fix 1 all nve");
+  in.line("fix 1 all " + fix);
   in.line("thermo 5");
   in.line("run 30");
   const auto& rows = sim->thermo.rows();
   const double e0 = rows.front().etotal;
   for (const auto& r : rows)
     EXPECT_NEAR(r.etotal, e0, 5e-4 * std::max(1.0, std::abs(e0)))
-        << "step " << r.step;
+        << style << " step " << r.step;
+}
+
+TEST(SNAP, EnergyConservedInNVE) { expect_nve_conserves_energy("snap", "nve"); }
+
+TEST(SNAPKokkos, EnergyConservedInNVE) {
+  expect_nve_conserves_energy("snap/kk", "nve/kk");
 }
 
 TEST(SNAP, BispectrumFeedsEnergyLinearly) {
