@@ -176,9 +176,10 @@ void Input::execute(const std::vector<std::string>& words) {
     // the interior/boundary split (full list + atom parallelism).
     sim_.overlap_enabled = to_bool(arg(1));
   } else if (cmd == "simd") {
-    // simd on|off: route hot kernels through the kk::simd pack path
-    // (docs/VECTORIZATION.md). Script-level equivalent of MLK_SIMD=on|off;
-    // scalar remains the reference path and the default.
+    // simd on|off: route the LJ team-parallel and ReaxFF vdW kernels
+    // through the kk::simd pack path (docs/VECTORIZATION.md). Script-level
+    // equivalent of MLK_SIMD=on|off; scalar remains the reference path and
+    // the default.
     kk::set_simd_enabled(to_bool(arg(1)));
   } else if (cmd == "suffix") {
     const std::string& s = arg(1);

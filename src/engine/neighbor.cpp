@@ -256,7 +256,7 @@ void Neighbor::build_in(const Atom& atom, const Domain& domain) {
   list.k_boundary.modify<Space>();
 }
 
-bool Neighbor::wants_rebuild(bigint step, const Atom& atom) const {
+bool Neighbor::wants_rebuild(bigint step, Atom& atom) const {
   const bigint ago = step - last_build;
   if (ago < bigint(delay)) return false;
   if (ago % bigint(std::max(1, every)) != 0) return false;
@@ -273,29 +273,62 @@ void Neighbor::note_dangerous(bigint step) {
   if (step - last_build == earliest) ++ndanger;
 }
 
-bool Neighbor::check_distance(const Atom& atom) const {
-  if (xhold_.size() != std::size_t(atom.nlocal) * 3) return true;
-  const double trigger = 0.25 * skin * skin;  // (skin/2)^2
-  const auto x = atom.k_x.h_view;
-  for (localint i = 0; i < atom.nlocal; ++i) {
-    double rsq = 0.0;
-    for (int d = 0; d < 3; ++d) {
-      const double dd =
-          x(std::size_t(i), std::size_t(d)) - xhold_[std::size_t(i) * 3 + std::size_t(d)];
-      rsq += dd * dd;
-    }
-    if (rsq > trigger) return true;
-  }
-  return false;
+bool Neighbor::check_distance(Atom& atom) const {
+  return execution_space == ExecSpaceKind::Device
+             ? check_distance_in<kk::Device>(atom)
+             : check_distance_in<kk::Host>(atom);
 }
 
-void Neighbor::store_build_positions(const Atom& atom) {
-  xhold_.resize(std::size_t(atom.nlocal) * 3);
-  const auto x = atom.k_x.h_view;
-  for (localint i = 0; i < atom.nlocal; ++i)
-    for (int d = 0; d < 3; ++d)
-      xhold_[std::size_t(i) * 3 + std::size_t(d)] =
-          x(std::size_t(i), std::size_t(d));
+template <class Space>
+bool Neighbor::check_distance_in(Atom& atom) const {
+  if (xhold_.extent(0) != std::size_t(atom.nlocal)) return true;
+  // The integrator may have moved x in either space: test the current
+  // positions, in the space that holds xhold.
+  atom.sync<Space>(X_MASK);
+  const auto x = atom.k_x.view<Space>();
+  const auto xhold = xhold_.view<Space>();
+  double maxsq = 0.0;
+  kk::parallel_reduce(
+      "Neighbor::check_distance",
+      kk::RangePolicy<Space>(0, std::size_t(atom.nlocal)),
+      [=](std::size_t i, double& m) {
+        double rsq = 0.0;
+        for (std::size_t d = 0; d < 3; ++d) {
+          const double dd = x(i, d) - xhold(i, d);
+          rsq += dd * dd;
+        }
+        if (rsq > m) m = rsq;
+      },
+      kk::Max<double>(maxsq));
+  return maxsq > 0.25 * skin * skin;  // (skin/2)^2
+}
+
+void Neighbor::store_build_positions(Atom& atom) {
+  // Only the distance check reads xhold. With check off, skip the copy (no
+  // launch per rebuild) and drop the old basis, so a later `check yes`
+  // rebuilds at its first allowed step.
+  if (!check) {
+    xhold_ = {};
+    return;
+  }
+  if (execution_space == ExecSpaceKind::Device)
+    store_build_positions_in<kk::Device>(atom);
+  else
+    store_build_positions_in<kk::Host>(atom);
+}
+
+template <class Space>
+void Neighbor::store_build_positions_in(Atom& atom) {
+  const std::size_t n = std::size_t(atom.nlocal);
+  if (xhold_.extent(0) != n) xhold_ = kk::DualView<double, 2>("xhold", n, 3);
+  atom.sync<Space>(X_MASK);
+  const auto x = atom.k_x.view<Space>();
+  const auto xhold = xhold_.view<Space>();
+  kk::parallel_for("Neighbor::store_build_positions",
+                   kk::RangePolicy<Space>(0, n), [=](std::size_t i) {
+                     for (std::size_t d = 0; d < 3; ++d) xhold(i, d) = x(i, d);
+                   });
+  xhold_.modify<Space>();
 }
 
 NeighborList brute_force_list(const Atom& atom, const Domain& /*domain*/,

@@ -152,7 +152,7 @@ class Neighbor {
   /// and the steps-since-build count is a multiple of `every`; with `check`
   /// it additionally requires an atom to have moved > skin/2. Pure decision
   /// — call note_dangerous() once the (globally agreed) rebuild happens.
-  bool wants_rebuild(bigint step, const Atom& atom) const;
+  bool wants_rebuild(bigint step, Atom& atom) const;
 
   /// Count a dangerous build: the distance check triggered on the *first*
   /// step `every`/`delay` permitted a rebuild, meaning atoms were likely
@@ -160,11 +160,15 @@ class Neighbor {
   /// Call on every rank with the global rebuild decision so counts agree.
   void note_dangerous(bigint step);
 
-  /// True if any owned atom moved more than skin/2 since the last build.
-  bool check_distance(const Atom& atom) const;
+  /// True if any owned atom moved more than skin/2 since the last build: a
+  /// max-reduction over the current positions, run in `execution_space`
+  /// (x is synced there first, so a Device integrator's moves count).
+  bool check_distance(Atom& atom) const;
 
-  /// Record positions at build time (basis for check_distance).
-  void store_build_positions(const Atom& atom);
+  /// Record positions at build time (basis for check_distance), in
+  /// `execution_space`. With `check` off nothing reads them: the copy is
+  /// skipped and the basis dropped.
+  void store_build_positions(Atom& atom);
 
   NeighborList list;
   bigint nbuilds = 0;
@@ -183,8 +187,14 @@ class Neighbor {
   template <class Space>
   void build_in(const Atom& atom, const Domain& domain);
   void canonicalize_rows(const Atom& atom);
+  template <class Space>
+  bool check_distance_in(Atom& atom) const;
+  template <class Space>
+  void store_build_positions_in(Atom& atom);
 
-  std::vector<double> xhold_;  // positions at last build (3*nlocal)
+  // Positions at the last build, (nlocal x 3). Only the copy in
+  // execution_space is written and read; it is never synced.
+  kk::DualView<double, 2> xhold_;
 };
 
 /// Reference O(N^2) list builder used by tests to validate the binned

@@ -368,14 +368,15 @@ Verlet::Phase Verlet::step_begin() {
 
   // Neighbor list maintenance. The decision must be *global*: if any rank
   // rebuilds (entering the exchange/borders message pattern) all must.
-  // The every/delay gate is identical on all ranks (builds are global, so
-  // `ago` agrees); only the distance check is local and needs the
-  // allreduce. Dangerous builds are counted after the global decision so
-  // every rank's counter matches.
+  // The checkpoint flag and the every/delay gate are identical on all ranks
+  // (builds are global, so `ago` agrees); only the distance check is local,
+  // so only `check yes` pays an allreduce. Dangerous builds are counted
+  // after the global decision so every rank's counter matches.
   bool rebuild = p.checkpoint;
   if (!rebuild) {
     rebuild = sim.neighbor.wants_rebuild(sim.ntimestep, sim.atom);
-    if (sim.mpi) rebuild = sim.mpi->allreduce_max(rebuild ? 1.0 : 0.0) > 0.5;
+    if (sim.mpi && sim.neighbor.check)
+      rebuild = sim.mpi->allreduce_max(rebuild ? 1.0 : 0.0) > 0.5;
     if (rebuild) sim.neighbor.note_dangerous(sim.ntimestep);
   }
   p.rebuild = rebuild;

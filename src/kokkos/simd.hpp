@@ -11,8 +11,9 @@
 // op degrades to exactly one scalar op in the same order — when it is off.
 // The W == 1 instantiation therefore *is* the scalar reference path, which
 // is what makes the per-kernel equivalence policy of VECTORIZATION.md
-// checkable. SNAP's lane kernels ignore the toggle and always run at the
-// native width: each lane replays the scalar operation sequence.
+// checkable. SNAP's lane kernels and the atom-parallel LJ kernel ignore the
+// toggle and always run at the native width: each lane replays the scalar
+// operation sequence.
 //
 // Arithmetic lowers through GNU vector extensions (guaranteed SIMD codegen
 // at any optimization level); lane-structured operations (gather, select,
@@ -243,9 +244,10 @@ class simd {
   /// lane sources are valid, e.g. padded index arrays). The lanes build a
   /// vector braced-init via pack expansion (left-to-right, so lane order is
   /// deterministic): the pack assembles in registers, avoiding the
-  /// store-forwarding stalls of a stack-buffer round trip.
+  /// store-forwarding stalls of a stack-buffer round trip. Always inlined:
+  /// inside a large kernel body GCC otherwise emits a call per gather.
   template <class F>
-  static simd gather(F&& fn) {
+  [[gnu::always_inline]] static simd gather(F&& fn) {
 #if defined(MLK_SIMD_VECTOR_EXT)
     return gather_impl(fn, std::make_integer_sequence<int, W>{});
 #else
@@ -259,7 +261,8 @@ class simd {
   /// get `fill`. The guarantee that masked-off sources are never
   /// dereferenced is what makes remainder loops safe.
   template <class F>
-  static simd gather_masked(const simd_mask<W>& m, F&& fn, T fill = T(0)) {
+  [[gnu::always_inline]] static simd gather_masked(const simd_mask<W>& m,
+                                                   F&& fn, T fill = T(0)) {
 #if defined(MLK_SIMD_VECTOR_EXT)
     return gather_masked_impl(m, fn, fill,
                               std::make_integer_sequence<int, W>{});
@@ -398,12 +401,14 @@ class simd {
     return simd(storage{((void)Ls, s)...});
   }
   template <class F, int... Ls>
-  static simd gather_impl(F&& fn, std::integer_sequence<int, Ls...>) {
+  [[gnu::always_inline]] static simd gather_impl(
+      F&& fn, std::integer_sequence<int, Ls...>) {
     return simd(storage{fn(Ls)...});
   }
   template <class F, int... Ls>
-  static simd gather_masked_impl(const simd_mask<W>& m, F&& fn, T fill,
-                                 std::integer_sequence<int, Ls...>) {
+  [[gnu::always_inline]] static simd gather_masked_impl(
+      const simd_mask<W>& m, F&& fn, T fill,
+      std::integer_sequence<int, Ls...>) {
     return simd(storage{(m[Ls] ? fn(Ls) : fill)...});
   }
 #endif

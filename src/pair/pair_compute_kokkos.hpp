@@ -6,40 +6,41 @@
 //     law) — the Fig. 2b trade-off,
 //   * write deconflicting through kk::ScatterView (atomics on Device,
 //     duplication/serial on Host),
-//   * atom-parallel (one work item per atom) vs hierarchical team-parallel
-//     (concurrency over the neighbors of each atom) dispatch — the Fig. 2a
-//     trade-off for small problems,
+//   * atom-parallel (one work item per block of atoms) vs hierarchical
+//     team-parallel (concurrency over the neighbors of each atom) dispatch —
+//     the Fig. 2a trade-off for small problems,
 //   * energy/virial tallies with the correct half/full weighting.
 //
-// One owned row has one body, detail::pair_row, and the atom-parallel
-// kernels have one launch, pair_compute_rows, over a row map: the full
-// kernel maps the identity, and the comm/compute-overlap split maps the
-// interior and boundary row lists.
+// Both kernels evaluate pairs through one lane body, detail::pair_lanes.
+// The atom-parallel kernels have one launch, pair_compute_rows, over a row
+// map: the full kernel maps the identity, and the comm/compute-overlap split
+// maps the interior and boundary row lists. It packs atoms, not neighbors:
+// each work item takes W = kk::native_simd_width consecutive rows, and lane
+// l walks row l's neighbors in list order (detail::pair_block) — the paper's
+// one-thread-per-atom GPU mapping (§3.2, §4.1) on this CPU's SIMD lanes.
+// Each lane replays the scalar operation order, so every width gives each
+// row the W = 1 sum bit for bit; the kernel ignores the `simd` toggle. The
+// team-parallel kernel still packs the neighbors of one atom, and only with
+// SIMD on (docs/VECTORIZATION.md).
 //
 // The concrete style supplies a device-copyable functor implementing:
 //   double cutsq(itype, jtype)                 — squared cutoff
-//   double fpair(rsq, itype, jtype)            — force magnitude divided by r
-//   double fpair_ev(rsq, itype, jtype, double& evdwl_out)
-//       — the same force, bitwise equal to fpair, plus the pair energy from
-//         the shared intermediates; used whenever tallies are requested
-//   simd<double,W> fpair_simd<W>(rsq_pack, itype, const int* jtype)
-//   simd<double,W> fpair_ev_simd<W>(rsq_pack, itype, const int* jtype,
+//   simd<double,W> fpair_simd<W>(rsq, const int* itype, const int* jtype)
+//       — force magnitude divided by r, lane l for the pair of types
+//         (itype[l], jtype[l])
+//   simd<double,W> fpair_ev_simd<W>(rsq, itype, jtype,
 //                                   simd<double,W>& evdwl_out)
-//       — the same two evaluations on a pack: lane l of rsq/jtype is
-//         neighbor l of the chunk; W == 1 must be bitwise equal to the
-//         scalar forms
-// LJFunctor (pair_lj_cut_kokkos.hpp) implements it. When no tallies are
-// requested the kernels drop the reduction machinery entirely and dispatch
-// a plain parallel_for — the "fuse force+energy, eliminate the separate
-// reduce pass" optimization of the source paper.
-//
-// SIMD: with kk::simd_enabled() (MLK_SIMD / `simd on`), every kernel below
-// walks each atom row's neighbors kk::native_simd_width lanes at a time
-// with kk::simd packs — distance math, the cutoff test, and the functor
-// evaluation run masked across lanes (docs/VECTORIZATION.md). The scalar
-// path stays the reference: SIMD off runs the per-neighbor loop.
+//       — the same force, bitwise equal to fpair_simd, plus the pair energy
+//         from the shared intermediates; used whenever tallies are requested
+// Lane l of each must be the scalar expression, so W == 1 is the scalar
+// reference. LJFunctor (pair_lj_cut_kokkos.hpp) implements it. When no
+// tallies are requested the kernels drop the reduction machinery entirely
+// and dispatch a plain parallel_for — the "fuse force+energy, eliminate the
+// separate reduce pass" optimization of the source paper.
 #pragma once
 
+#include <algorithm>
+#include <climits>
 #include <cstddef>
 #include <string>
 #include <type_traits>
@@ -110,289 +111,307 @@ struct PairViews {
 
 namespace detail {
 
-/// One (i, j) pair of the scalar reference loop. Always inlined: the pair
-/// body must sit inside the neighbor loop whatever shape its caller has, or
-/// -O2 leaves a function call per pair.
-template <bool FULL, bool NEWTON, class XView, class FAcc, class TView,
-          class Functor>
-[[gnu::always_inline]] inline void pair_accumulate(
-    const XView& x, const FAcc& facc, const TView& type, const Functor& func,
-    std::size_t i, int j, localint nlocal, bool eflag, double& fxi,
-    double& fyi, double& fzi, EV& ev) {
-  const double dx = x(i, 0) - x(std::size_t(j), 0);
-  const double dy = x(i, 1) - x(std::size_t(j), 1);
-  const double dz = x(i, 2) - x(std::size_t(j), 2);
-  const double rsq = dx * dx + dy * dy + dz * dz;
-  const int itype = type(i);
-  const int jtype = type(std::size_t(j));
-  if (rsq >= func.cutsq(itype, jtype)) return;
+/// Distances, force magnitudes and (with tallies) pair energies of W pairs.
+template <int W>
+struct PairLanes {
+  kk::simd<double, W> dx, dy, dz, fpair, epair;
+  kk::simd_mask<W> m;  // active and inside the cutoff
+};
 
-  double epair = 0.0;
-  const double fpair = eflag ? func.fpair_ev(rsq, itype, jtype, epair)
-                             : func.fpair(rsq, itype, jtype);
-  const double fx = dx * fpair, fy = dy * fpair, fz = dz * fpair;
-  fxi += fx;
-  fyi += fy;
-  fzi += fz;
-  if constexpr (!FULL) {
-    facc.add(std::size_t(j), 0, -fx);
-    facc.add(std::size_t(j), 1, -fy);
-    facc.add(std::size_t(j), 2, -fz);
-  }
-  if (eflag) {
-    const double factor =
-        FULL ? 0.5 : ((j < nlocal || NEWTON) ? 1.0 : 0.5);
-    ev.evdwl += factor * epair;
-    ev.v[0] += factor * dx * fx;
-    ev.v[1] += factor * dy * fy;
-    ev.v[2] += factor * dz * fz;
-    ev.v[3] += factor * dx * fy;
-    ev.v[4] += factor * dx * fz;
-    ev.v[5] += factor * dy * fz;
-  }
-}
-
-/// SIMD counterpart of pair_accumulate: evaluates one chunk of up to W
-/// neighbors of the atom at (xi0, xi1, xi2). `j` holds W neighbor indices
-/// (inactive lanes padded with j[0], a valid index, so gathers never read
-/// out of bounds); `act` marks real lanes. Forces and EV terms accumulate
-/// into caller-held packs; inactive/out-of-cutoff lanes have fpair forced
-/// to 0 so their contributions vanish. The j-side half-list scatter stays
-/// per-active-lane (one add per (i,j) pair, row order preserved —
-/// bitwise-identical to the scalar loop; see VECTORIZATION.md's
-/// equivalence policy).
-template <int W, bool FULL, bool NEWTON, class XView, class FAcc, class TView,
-          class Functor>
-inline void pair_chunk_packed(const XView& x, const FAcc& facc,
-                              const TView& type, const Functor& func,
-                              double xi0, double xi1, double xi2, int itype,
-                              const int* j, const kk::simd_mask<W>& act,
-                              localint nlocal, bool eflag,
-                              kk::simd<double, W>& afx,
-                              kk::simd<double, W>& afy,
-                              kk::simd<double, W>& afz, kk::simd<double, W>& ae,
-                              kk::simd<double, W>* av) {
+/// W pairs evaluated lane by lane: lane l pairs the atom at lane l of
+/// (xi0, xi1, xi2), of type itype[l], with neighbor j[l]. Every lane op is
+/// the scalar pair expression, so each lane is bit for bit the scalar
+/// evaluation of its pair. Lanes outside `m` divide a benign 1.0, and
+/// callers ignore their dx and fpair. Always inlined, so the pair body sits
+/// inside the caller's neighbor loop.
+template <int W, bool EFLAG, class XView, class TView, class Functor>
+[[gnu::always_inline]] inline PairLanes<W> pair_lanes(
+    const XView& x, const TView& type, const Functor& func,
+    const kk::simd<double, W>& xi0, const kk::simd<double, W>& xi1,
+    const kk::simd<double, W>& xi2, const int* itype, const int* j,
+    const kk::simd_mask<W>& act) {
   using pd = kk::simd<double, W>;
-  const pd dx =
-      pd(xi0) - pd::gather([&](int l) { return x(std::size_t(j[l]), 0); });
-  const pd dy =
-      pd(xi1) - pd::gather([&](int l) { return x(std::size_t(j[l]), 1); });
-  const pd dz =
-      pd(xi2) - pd::gather([&](int l) { return x(std::size_t(j[l]), 2); });
-  const pd rsq = dx * dx + dy * dy + dz * dz;
-  int jt[W];
-  for (int l = 0; l < W; ++l) jt[l] = type(std::size_t(j[l]));
-  const pd cut = pd::gather([&](int l) { return func.cutsq(itype, jt[l]); });
-  const auto m = act && (rsq < cut);
-  if (m.none()) return;
-  // Inactive lanes divide a benign 1.0, never rsq garbage (NaN/UB safety).
-  const pd rsq_s = kk::select(m, rsq, pd(1.0));
-
-  pd epair;
-  pd fpair = eflag ? func.template fpair_ev_simd<W>(rsq_s, itype, jt, epair)
-                   : func.template fpair_simd<W>(rsq_s, itype, jt);
-  fpair = kk::select(m, fpair, pd(0.0));
-  const pd fx = dx * fpair, fy = dy * fpair, fz = dz * fpair;
-  afx += fx;
-  afy += fy;
-  afz += fz;
-  if constexpr (!FULL) {
-    for (int l = 0; l < W; ++l) {
-      if (!m[l]) continue;
-      facc.add(std::size_t(j[l]), 0, -fx[l]);
-      facc.add(std::size_t(j[l]), 1, -fy[l]);
-      facc.add(std::size_t(j[l]), 2, -fz[l]);
-    }
-  }
-  if (eflag) {
-    epair = kk::select(m, epair, pd(0.0));
-    pd factor;
-    if constexpr (FULL) {
-      factor = pd(0.5);
-    } else if constexpr (NEWTON) {
-      factor = pd(1.0);
-    } else {
-      kk::simd_mask<W> owned;
-      for (int l = 0; l < W; ++l) owned.set(l, j[l] < nlocal);
-      factor = kk::select(owned, pd(1.0), pd(0.5));
-    }
-    ae += factor * epair;
-    av[0] += factor * (dx * fx);
-    av[1] += factor * (dy * fy);
-    av[2] += factor * (dz * fz);
-    av[3] += factor * (dx * fy);
-    av[4] += factor * (dx * fz);
-    av[5] += factor * (dy * fz);
-  }
+  PairLanes<W> p;
+  p.dx = xi0 - pd::gather([&](int l) { return x(std::size_t(j[l]), 0); });
+  p.dy = xi1 - pd::gather([&](int l) { return x(std::size_t(j[l]), 1); });
+  p.dz = xi2 - pd::gather([&](int l) { return x(std::size_t(j[l]), 2); });
+  const pd rsq = p.dx * p.dx + p.dy * p.dy + p.dz * p.dz;
+  int jtype[W];
+  for (int l = 0; l < W; ++l) jtype[l] = type(std::size_t(j[l]));
+  const pd cut =
+      pd::gather([&](int l) { return func.cutsq(itype[l], jtype[l]); });
+  // !(rsq >= cut), not rsq < cut: a NaN lane stays in, as the scalar test
+  // `if (rsq >= cutsq) continue` keeps it.
+  p.m = act && !(rsq >= cut);
+  const pd rsq_s = kk::select(p.m, rsq, pd(1.0));
+  if constexpr (EFLAG)
+    p.fpair = func.template fpair_ev_simd<W>(rsq_s, itype, jtype, p.epair);
+  else
+    p.fpair = func.template fpair_simd<W>(rsq_s, itype, jtype);
+  return p;
 }
 
-/// Packed neighbor-row walk: a full-width main loop (hoisted all-true mask,
-/// unpadded j loads — the structure the compiler turns into straight-line
-/// vector code) plus one lane-padded masked remainder chunk. Pack
-/// accumulators persist across the whole row and horizontally reduce once
-/// at the end.
-template <int W, bool FULL, bool NEWTON, class XView, class FAcc, class TView,
-          class NeighView, class Functor>
-inline void pair_row_packed(const XView& x, const FAcc& facc,
-                            const TView& type, const NeighView& neigh,
-                            const Functor& func, std::size_t i, int jnum,
-                            localint nlocal, bool eflag, double& fxi,
-                            double& fyi, double& fzi, EV& ev) {
-  if (jnum <= 0) return;
+/// Tally weight of each lane's pair: a full list holds every pair twice,
+/// and a half list with newton off holds an owned-ghost pair on both
+/// ranks.
+template <int W, bool FULL, bool NEWTON>
+[[gnu::always_inline]] inline kk::simd<double, W> pair_weight(
+    const int* j, localint nlocal) {
   using pd = kk::simd<double, W>;
-  const double xi0 = x(i, 0), xi1 = x(i, 1), xi2 = x(i, 2);
-  const int itype = type(i);
-  const kk::simd_mask<W> all(true);
-  pd afx, afy, afz, ae;
-  pd av[6];
-  int j[W];
-  const int nfull = jnum & ~(W - 1);
-  for (int jj = 0; jj < nfull; jj += W) {
-    for (int l = 0; l < W; ++l) j[l] = neigh(i, std::size_t(jj + l));
-    pair_chunk_packed<W, FULL, NEWTON>(x, facc, type, func, xi0, xi1, xi2,
-                                       itype, j, all, nlocal, eflag, afx, afy,
-                                       afz, ae, av);
-  }
-  if (nfull < jnum) {
-    const int rem = jnum - nfull;
-    for (int l = 0; l < rem; ++l) j[l] = neigh(i, std::size_t(nfull + l));
-    for (int l = rem; l < W; ++l) j[l] = j[0];  // pad with a valid index
-    pair_chunk_packed<W, FULL, NEWTON>(
-        x, facc, type, func, xi0, xi1, xi2, itype, j,
-        kk::simd_mask<W>::first(rem), nlocal, eflag, afx, afy, afz, ae, av);
-  }
-  fxi += kk::reduce_sum(afx);
-  fyi += kk::reduce_sum(afy);
-  fzi += kk::reduce_sum(afz);
-  if (eflag) {
-    ev.evdwl += kk::reduce_sum(ae);
-    for (int k = 0; k < 6; ++k) ev.v[k] += kk::reduce_sum(av[k]);
-  }
-}
-
-/// The one body for owned row i: the scalar reference loop, or the packed
-/// walk when `use_simd`, then the row's force adds on atom i. Tallies land
-/// in `ev` when `eflag`.
-template <bool FULL, bool NEWTON, class Space, class FAcc, class Functor>
-inline void pair_row(const PairViews<Space>& v, const FAcc& facc,
-                     const Functor& func, std::size_t i, bool use_simd,
-                     bool eflag, EV& ev) {
-  double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-  const int jnum = v.numneigh(i);
-  if (use_simd) {
-    pair_row_packed<kk::native_simd_width, FULL, NEWTON>(
-        v.x, facc, v.type, v.neighbors, func, i, jnum, v.nlocal, eflag, fxi,
-        fyi, fzi, ev);
+  if constexpr (FULL) {
+    return pd(0.5);
+  } else if constexpr (NEWTON) {
+    return pd(1.0);
   } else {
-    for (int jj = 0; jj < jnum; ++jj) {
-      const int j = v.neighbors(i, std::size_t(jj));
-      pair_accumulate<FULL, NEWTON>(v.x, facc, v.type, func, i, j, v.nlocal,
-                                    eflag, fxi, fyi, fzi, ev);
+    kk::simd_mask<W> owned;
+    for (int l = 0; l < W; ++l) owned.set(l, j[l] < nlocal);
+    return kk::select(owned, pd(1.0), pd(0.5));
+  }
+}
+
+/// One work item of the atom-parallel kernel: rows s0 .. s0+W-1 of the row
+/// map, one per lane (lanes past n stay masked). Lane l walks its row's
+/// neighbors in list order and accumulates under its own mask, so every
+/// row's force sum is the scalar row loop's, bit for bit. A lane past its
+/// row's end reads no table entry: its j is padded with its own i.
+///
+/// The epilogue runs lane by lane in row order. A half list first replays
+/// the row's j-side adds from `jbuf`/`fbuf` (W x maxneighs, staged by the
+/// walk), then the row adds its own total: the scalar loop's add order.
+/// Energy and virial are per-row partials, added to `ev` in row order.
+template <int W, bool FULL, bool NEWTON, bool EFLAG, class Space, class FAcc,
+          class RowOf, class Functor>
+inline void pair_block(const PairViews<Space>& v, const FAcc& facc,
+                       const Functor& func, const RowOf& row_of,
+                       std::size_t s0, std::size_t n, int* jbuf, double* fbuf,
+                       EV& ev) {
+  using pd = kk::simd<double, W>;
+  using mask = kk::simd_mask<W>;
+  const int nrow = int(std::min<std::size_t>(W, n - s0));
+  std::size_t i[W];
+  int itype[W], jnum[W];
+  int jmin = INT_MAX, jmax = 0;
+  for (int l = 0; l < W; ++l) {
+    i[l] = std::size_t(row_of(s0 + std::size_t(l < nrow ? l : 0)));
+    itype[l] = v.type(i[l]);
+    jnum[l] = l < nrow ? v.numneigh(i[l]) : 0;
+    jmin = std::min(jmin, jnum[l]);
+    jmax = std::max(jmax, jnum[l]);
+  }
+  const pd xi0 = pd::gather([&](int l) { return v.x(i[l], 0); });
+  const pd xi1 = pd::gather([&](int l) { return v.x(i[l], 1); });
+  const pd xi2 = pd::gather([&](int l) { return v.x(i[l], 2); });
+
+  pd fxi, fyi, fzi, ei;
+  pd vi[6];
+  // Always inlined: an outlined call per jj would spill every accumulator.
+  const auto pair = [&](int jj, const mask& act,
+                        const int* j) __attribute__((always_inline)) {
+    const PairLanes<W> p = pair_lanes<W, EFLAG>(v.x, v.type, func, xi0, xi1,
+                                                xi2, itype, j, act);
+    const pd fx = p.dx * p.fpair, fy = p.dy * p.fpair, fz = p.dz * p.fpair;
+    kk::where(p.m, fxi) += fx;
+    kk::where(p.m, fyi) += fy;
+    kk::where(p.m, fzi) += fz;
+    if constexpr (!FULL) {
+      for (int l = 0; l < W; ++l) jbuf[jj * W + l] = p.m[l] ? j[l] : -1;
+      fx.store(fbuf + 3 * W * jj);
+      fy.store(fbuf + 3 * W * jj + W);
+      fz.store(fbuf + 3 * W * jj + 2 * W);
+    }
+    if constexpr (EFLAG) {
+      const pd factor = pair_weight<W, FULL, NEWTON>(j, v.nlocal);
+      kk::where(p.m, ei) += factor * p.epair;
+      kk::where(p.m, vi[0]) += factor * p.dx * fx;
+      kk::where(p.m, vi[1]) += factor * p.dy * fy;
+      kk::where(p.m, vi[2]) += factor * p.dz * fz;
+      kk::where(p.m, vi[3]) += factor * p.dx * fy;
+      kk::where(p.m, vi[4]) += factor * p.dx * fz;
+      kk::where(p.m, vi[5]) += factor * p.dy * fz;
+    }
+  };
+
+  // Every lane is active up to the shortest row; the tail is masked.
+  int j[W];
+  int jj = 0;
+  for (; jj < jmin; ++jj) {
+    for (int l = 0; l < W; ++l) j[l] = v.neighbors(i[l], std::size_t(jj));
+    pair(jj, mask(true), j);
+  }
+  for (; jj < jmax; ++jj) {
+    mask act;
+    for (int l = 0; l < W; ++l) {
+      act.set(l, jj < jnum[l]);
+      j[l] = act[l] ? v.neighbors(i[l], std::size_t(jj)) : int(i[l]);
+    }
+    pair(jj, act, j);
+  }
+
+  for (int l = 0; l < nrow; ++l) {
+    if constexpr (!FULL) {
+      for (int k = 0; k < jnum[l]; ++k) {
+        const int jr = jbuf[k * W + l];
+        if (jr < 0) continue;
+        const double* fr = fbuf + 3 * W * k + l;
+        facc.add(std::size_t(jr), 0, -fr[0]);
+        facc.add(std::size_t(jr), 1, -fr[W]);
+        facc.add(std::size_t(jr), 2, -fr[2 * W]);
+      }
+    }
+    facc.add(i[l], 0, fxi[l]);
+    facc.add(i[l], 1, fyi[l]);
+    facc.add(i[l], 2, fzi[l]);
+    if constexpr (EFLAG) {
+      ev.evdwl += ei[l];
+      for (int k = 0; k < 6; ++k) ev.v[k] += vi[k][l];
     }
   }
-  facc.add(i, 0, fxi);
-  facc.add(i, 1, fyi);
-  facc.add(i, 2, fzi);
+}
+
+/// Calls f(std::true_type{}) or f(std::false_type{}): a runtime flag
+/// becomes a compile-time one.
+template <class F>
+inline void with_flag(bool flag, const F& f) {
+  if (flag)
+    f(std::true_type{});
+  else
+    f(std::false_type{});
 }
 
 }  // namespace detail
 
-/// Atom-parallel kernel: one work item per row, work item s computing owned
-/// row `row_of(s)` for s in [0, n). Performs no DualView bookkeeping (the
-/// PairViews constructor did it), so it may run inside an asynchronous
-/// kk::DeviceInstance task. Returns the energy/virial of those rows.
-template <class Space, bool FULL, bool NEWTON, class RowOf, class Functor>
+/// Atom-parallel kernel: one work item per block of W rows, lane l of work
+/// item b computing owned row `row_of(b * W + l)`, for rows s in [0, n).
+/// W = 1 is the scalar reference. Every width matches it bit for bit
+/// wherever the scalar result is itself deterministic: full-list forces
+/// always (each row adds once), half-list forces and the tallies when the
+/// blocks run in order on one participant, as on Host. Performs no DualView
+/// bookkeeping (the PairViews constructor did it), so it may run inside an
+/// asynchronous kk::DeviceInstance task. Returns the energy/virial of those
+/// rows.
+template <class Space, bool FULL, bool NEWTON, int W = kk::native_simd_width,
+          class RowOf, class Functor>
 EV pair_compute_rows(const std::string& name, const PairViews<Space>& views,
                      const RowOf& row_of, std::size_t n, const Functor& func,
                      kk::ScatterMode scatter, bool eflag) {
   kk::ScatterView<double, 2, Space> fscatter(views.f, scatter);
-  auto facc = fscatter.access();
-  const bool use_simd = kk::simd_enabled();
-  if (use_simd) kk::simdstats::count_launch(name);
+  const auto facc = fscatter.access();
+  // A half list stages each block's j-side adds: W rows x maxneighs pairs.
+  const std::size_t nstage = FULL ? 0 : W * views.neighbors.extent(1);
+  auto policy =
+      kk::TeamPolicy<Space>((n + W - 1) / W, 1, W)
+          .set_scratch_size(nstage * (3 * sizeof(double) + sizeof(int)));
 
   EV total;
-  const auto row = [=](std::size_t s, EV& ev) {
-    detail::pair_row<FULL, NEWTON>(views, facc, func, std::size_t(row_of(s)),
-                                   use_simd, eflag, ev);
-  };
-  if (eflag) {
-    kk::parallel_reduce(name, kk::RangePolicy<Space>(0, n), row, total);
-  } else {
-    // No tallies requested: plain parallel_for, no reduction machinery.
-    kk::parallel_for(name, kk::RangePolicy<Space>(0, n), [=](std::size_t s) {
-      EV unused;
-      row(s, unused);
-    });
-  }
+  detail::with_flag(eflag, [&](auto eflag_c) {
+    constexpr bool EFLAG = decltype(eflag_c)::value;
+    const auto block = [=](const kk::TeamMember& m, EV& ev) {
+      double* fbuf = FULL ? nullptr : m.team_scratch<double>(3 * nstage);
+      int* jbuf = FULL ? nullptr : m.team_scratch<int>(nstage);
+      detail::pair_block<W, FULL, NEWTON, EFLAG>(
+          views, facc, func, row_of, m.league_rank() * W, n, jbuf, fbuf, ev);
+    };
+    if constexpr (EFLAG) {
+      kk::parallel_reduce(name, policy, block, total);
+    } else {
+      // No tallies requested: plain parallel_for, no reduction machinery.
+      kk::parallel_for(name, policy, [=](const kk::TeamMember& m) {
+        EV unused;
+        block(m, unused);
+      });
+    }
+  });
   fscatter.contribute();
   return total;
 }
 
 /// Team-parallel kernel over owned rows [0, n): one team per atom, neighbor
 /// loop distributed over (logical) vector lanes — exposes enough
-/// concurrency to saturate a GPU on small systems (§4.1, Fig. 2a).
+/// concurrency to saturate a GPU on small systems (§4.1, Fig. 2a). With
+/// SIMD on, kk::vector_for packs W neighbors of the row and reduces each
+/// chunk across lanes (tolerance-equal, docs/VECTORIZATION.md).
 template <class Space, bool FULL, bool NEWTON, class Functor>
 EV pair_compute_team(const std::string& name, const PairViews<Space>& views,
                      std::size_t n, const Functor& func,
                      kk::ScatterMode scatter, bool eflag) {
   kk::ScatterView<double, 2, Space> fscatter(views.f, scatter);
-  auto facc = fscatter.access();
+  const auto facc = fscatter.access();
 
-  const bool use_simd = kk::simd_enabled();
-  if (use_simd) kk::simdstats::count_launch(name);
+  if (kk::simd_enabled()) kk::simdstats::count_launch(name);
 
   EV total;
   kk::TeamPolicy<Space> policy(n, 1, PairComputeConfig::vector_length);
-  kk::parallel_reduce(
-      name, policy,
-      [=](const kk::TeamMember& member, EV& ev) {
-        const std::size_t i = member.league_rank();
-        const int jnum = views.numneigh(i);
-        // Per-lane partial forces on atom i reduced across the vector range.
-        double fxi = 0.0, fyi = 0.0, fzi = 0.0;
-        EV ev_local;
-        const double xi0 = views.x(i, 0), xi1 = views.x(i, 1),
-                     xi2 = views.x(i, 2);
-        const int itype = views.type(i);
-        // Single-source vector level: W = native width with SIMD on, 1 off.
-        kk::vector_for(
-            kk::ThreadVectorRange(member, std::size_t(jnum)),
-            [&](auto lanes) {
-              constexpr int W = decltype(lanes)::width;
-              using pd = kk::simd<double, W>;
-              int j[W];
-              j[0] = views.neighbors(i, lanes.index(0));  // lane 0 active
-              for (int l = 1; l < W; ++l)
-                j[l] = lanes.mask[l] ? views.neighbors(i, lanes.index(l))
-                                     : j[0];
-              pd afx, afy, afz, ae;
-              pd av[6];
-              detail::pair_chunk_packed<W, FULL, NEWTON>(
-                  views.x, facc, views.type, func, xi0, xi1, xi2, itype, j,
-                  lanes.mask, views.nlocal, eflag, afx, afy, afz, ae, av);
-              fxi += kk::reduce_sum(afx);
-              fyi += kk::reduce_sum(afy);
-              fzi += kk::reduce_sum(afz);
-              if (eflag) {
-                ev_local.evdwl += kk::reduce_sum(ae);
-                for (int k = 0; k < 6; ++k)
-                  ev_local.v[k] += kk::reduce_sum(av[k]);
-              }
-            });
-        member.team_barrier();
-        facc.add(i, 0, fxi);
-        facc.add(i, 1, fyi);
-        facc.add(i, 2, fzi);
-        ev += ev_local;
-      },
-      total);
+  detail::with_flag(eflag, [&](auto eflag_c) {
+    constexpr bool EFLAG = decltype(eflag_c)::value;
+    kk::parallel_reduce(
+        name, policy,
+        [=](const kk::TeamMember& member, EV& ev) {
+          const std::size_t i = member.league_rank();
+          const int jnum = views.numneigh(i);
+          double fxi = 0.0, fyi = 0.0, fzi = 0.0;
+          EV ev_local;
+          const int itype = views.type(i);
+          const double xi0 = views.x(i, 0), xi1 = views.x(i, 1),
+                       xi2 = views.x(i, 2);
+          kk::vector_for(
+              kk::ThreadVectorRange(member, std::size_t(jnum)),
+              [&](auto lanes) {
+                constexpr int W = decltype(lanes)::width;
+                using pd = kk::simd<double, W>;
+                int j[W], it[W];
+                j[0] = views.neighbors(i, lanes.index(0));  // lane 0 active
+                for (int l = 1; l < W; ++l)
+                  j[l] = lanes.mask[l] ? views.neighbors(i, lanes.index(l))
+                                       : j[0];
+                for (int l = 0; l < W; ++l) it[l] = itype;
+                const auto p = detail::pair_lanes<W, EFLAG>(
+                    views.x, views.type, func, pd(xi0), pd(xi1), pd(xi2), it,
+                    j, lanes.mask);
+                if (p.m.none()) return;
+                const pd fpair = kk::select(p.m, p.fpair, pd(0.0));
+                const pd fx = p.dx * fpair, fy = p.dy * fpair,
+                         fz = p.dz * fpair;
+                fxi += kk::reduce_sum(fx);
+                fyi += kk::reduce_sum(fy);
+                fzi += kk::reduce_sum(fz);
+                if constexpr (!FULL) {
+                  for (int l = 0; l < W; ++l) {
+                    if (!p.m[l]) continue;
+                    facc.add(std::size_t(j[l]), 0, -fx[l]);
+                    facc.add(std::size_t(j[l]), 1, -fy[l]);
+                    facc.add(std::size_t(j[l]), 2, -fz[l]);
+                  }
+                }
+                if constexpr (EFLAG) {
+                  const pd epair = kk::select(p.m, p.epair, pd(0.0));
+                  const pd factor = detail::pair_weight<W, FULL, NEWTON>(
+                      j, views.nlocal);
+                  ev_local.evdwl += kk::reduce_sum(factor * epair);
+                  ev_local.v[0] += kk::reduce_sum(factor * (p.dx * fx));
+                  ev_local.v[1] += kk::reduce_sum(factor * (p.dy * fy));
+                  ev_local.v[2] += kk::reduce_sum(factor * (p.dz * fz));
+                  ev_local.v[3] += kk::reduce_sum(factor * (p.dx * fy));
+                  ev_local.v[4] += kk::reduce_sum(factor * (p.dx * fz));
+                  ev_local.v[5] += kk::reduce_sum(factor * (p.dy * fz));
+                }
+              });
+          member.team_barrier();
+          facc.add(i, 0, fxi);
+          facc.add(i, 1, fyi);
+          facc.add(i, 2, fzi);
+          ev += ev_local;
+        },
+        total);
+  });
   fscatter.contribute();
   return total;
 }
 
 /// Full force kernel for every owned row of `list`, dispatched at runtime
-/// over list style, newton flag and parallelism.
-template <class Space, class Functor>
+/// over list style, newton flag and parallelism. W is the atom-parallel
+/// kernel's lane width: tests and bench_fig2 compare W = 1 with the native
+/// width.
+template <class Space, int W = kk::native_simd_width, class Functor>
 EV pair_compute_dispatch(const std::string& name, Atom& atom,
                          NeighborList& list, const Functor& func,
                          const PairComputeConfig& cfg) {
@@ -402,7 +421,7 @@ EV pair_compute_dispatch(const std::string& name, Atom& atom,
     if (cfg.parallelism == PairParallelism::Team)
       return pair_compute_team<Space, full, newton>(
           name, views, n, func, cfg.scatter, cfg.eflag);
-    return pair_compute_rows<Space, full, newton>(
+    return pair_compute_rows<Space, full, newton, W>(
         name, views, [](std::size_t i) { return i; }, n, func, cfg.scatter,
         cfg.eflag);
   };

@@ -15,75 +15,52 @@
 namespace mlk {
 
 /// Device-copyable coefficient functor for LJ: the functor contract of
-/// pair_compute_kokkos.hpp.
+/// pair_compute_kokkos.hpp. Lane l evaluates the pair of types (itype[l],
+/// jtype[l]); coefficients gather per lane, and the r^-2/r^-6 algebra is
+/// PairLJCut::pair_force's expression op for op, so every lane is bitwise
+/// the scalar evaluation. Always inlined, like the pair body that calls it.
 struct LJFunctor {
   kk::View<double, 2> d_cutsq, d_lj1, d_lj2, d_lj3, d_lj4;
 
   double cutsq(int itype, int jtype) const {
     return d_cutsq(std::size_t(itype), std::size_t(jtype));
   }
-  double fpair(double rsq, int itype, int jtype) const {
-    const double r2inv = 1.0 / rsq;
-    const double r6inv = r2inv * r2inv * r2inv;
-    return r6inv *
-           (d_lj1(std::size_t(itype), std::size_t(jtype)) * r6inv -
-            d_lj2(std::size_t(itype), std::size_t(jtype))) *
+
+  template <int W>
+  [[gnu::always_inline]] kk::simd<double, W> fpair_simd(
+      const kk::simd<double, W>& rsq, const int* itype,
+      const int* jtype) const {
+    using pd = kk::simd<double, W>;
+    const pd r2inv = pd(1.0) / rsq;
+    const pd r6inv = r2inv * r2inv * r2inv;
+    return r6inv * (coeff<W>(d_lj1, itype, jtype) * r6inv -
+                    coeff<W>(d_lj2, itype, jtype)) *
            r2inv;
   }
   /// Fused force+energy evaluation: shares the r^-2/r^-6 intermediates
-  /// between the two results. The returned force magnitude is the same
-  /// expression as fpair(), so tally and no-tally steps produce
-  /// bitwise-identical forces.
-  double fpair_ev(double rsq, int itype, int jtype, double& evdwl_out) const {
-    const double r2inv = 1.0 / rsq;
-    const double r6inv = r2inv * r2inv * r2inv;
-    evdwl_out = r6inv * (d_lj3(std::size_t(itype), std::size_t(jtype)) * r6inv -
-                         d_lj4(std::size_t(itype), std::size_t(jtype)));
-    return r6inv *
-           (d_lj1(std::size_t(itype), std::size_t(jtype)) * r6inv -
-            d_lj2(std::size_t(itype), std::size_t(jtype))) *
+  /// between the two results. The force is fpair_simd's expression, so
+  /// tally and no-tally steps produce bitwise-identical forces.
+  template <int W>
+  [[gnu::always_inline]] kk::simd<double, W> fpair_ev_simd(
+      const kk::simd<double, W>& rsq, const int* itype, const int* jtype,
+      kk::simd<double, W>& evdwl_out) const {
+    using pd = kk::simd<double, W>;
+    const pd r2inv = pd(1.0) / rsq;
+    const pd r6inv = r2inv * r2inv * r2inv;
+    evdwl_out = r6inv * (coeff<W>(d_lj3, itype, jtype) * r6inv -
+                         coeff<W>(d_lj4, itype, jtype));
+    return r6inv * (coeff<W>(d_lj1, itype, jtype) * r6inv -
+                    coeff<W>(d_lj2, itype, jtype)) *
            r2inv;
   }
 
-  // Pack-native evaluation (docs/VECTORIZATION.md): lane l holds neighbor l
-  // of the chunk. Coefficients gather per lane (jtype varies); the r^-2/r^-6
-  // algebra is identical op-for-op to the scalar expressions, so the W == 1
-  // instantiation is bitwise-equal to fpair()/fpair_ev().
+ private:
   template <int W>
-  kk::simd<double, W> fpair_simd(const kk::simd<double, W>& rsq, int itype,
-                                 const int* jtype) const {
-    using pd = kk::simd<double, W>;
-    const pd r2inv = pd(1.0) / rsq;
-    const pd r6inv = r2inv * r2inv * r2inv;
-    const pd lj1 = pd::gather([&](int l) {
-      return d_lj1(std::size_t(itype), std::size_t(jtype[l]));
+  [[gnu::always_inline]] static kk::simd<double, W> coeff(
+      const kk::View<double, 2>& c, const int* itype, const int* jtype) {
+    return kk::simd<double, W>::gather([&](int l) {
+      return c(std::size_t(itype[l]), std::size_t(jtype[l]));
     });
-    const pd lj2 = pd::gather([&](int l) {
-      return d_lj2(std::size_t(itype), std::size_t(jtype[l]));
-    });
-    return r6inv * (lj1 * r6inv - lj2) * r2inv;
-  }
-  template <int W>
-  kk::simd<double, W> fpair_ev_simd(const kk::simd<double, W>& rsq, int itype,
-                                    const int* jtype,
-                                    kk::simd<double, W>& evdwl_out) const {
-    using pd = kk::simd<double, W>;
-    const pd r2inv = pd(1.0) / rsq;
-    const pd r6inv = r2inv * r2inv * r2inv;
-    const pd lj3 = pd::gather([&](int l) {
-      return d_lj3(std::size_t(itype), std::size_t(jtype[l]));
-    });
-    const pd lj4 = pd::gather([&](int l) {
-      return d_lj4(std::size_t(itype), std::size_t(jtype[l]));
-    });
-    evdwl_out = r6inv * (lj3 * r6inv - lj4);
-    const pd lj1 = pd::gather([&](int l) {
-      return d_lj1(std::size_t(itype), std::size_t(jtype[l]));
-    });
-    const pd lj2 = pd::gather([&](int l) {
-      return d_lj2(std::size_t(itype), std::size_t(jtype[l]));
-    });
-    return r6inv * (lj1 * r6inv - lj2) * r2inv;
   }
 };
 
@@ -113,6 +90,10 @@ class PairLJCutKokkos : public PairLJCut {
   }
   void set_parallelism(PairParallelism p) { cfg_.parallelism = p; }
   void set_scatter_mode(kk::ScatterMode m) { cfg_.scatter = m; }
+
+  /// The coefficient functor the kernels run (defined after init), for
+  /// callers that launch a kernel at another lane width.
+  const LJFunctor& functor() const { return functor_; }
 
  private:
   PairComputeConfig cfg_;

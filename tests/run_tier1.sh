@@ -23,10 +23,11 @@
 #                                 # NDJSON + counter tracks, then the
 #                                 # telemetry suites (ring accounting,
 #                                 # torn-read impossibility, hub lifecycle)
-#   tests/run_tier1.sh --simd     # SIMD smoke: melt with MLK_SIMD off vs on
-#                                 # (total energy compared per the tolerance
-#                                 # policy), the Simd* suites, and the
-#                                 # sanitized pack-layer build
+#   tests/run_tier1.sh --simd     # SIMD smoke: the ReaxFF HNS example with
+#                                 # MLK_SIMD off vs on (total energy compared
+#                                 # per the tolerance policy), the Simd* and
+#                                 # LJLanes suites, and the sanitized
+#                                 # pack-layer build
 #   tests/run_tier1.sh --balance  # decomposition smoke: droplet example with
 #                                 # sort + balance rcb armed (imbalance
 #                                 # breakdown + counter track), then the
@@ -143,22 +144,21 @@ elif [[ "$telemetry_smoke" == 1 ]]; then
     --gtest_filter='TelemetryRing*:TelemetryHub*:CoordCapture*:Insitu*'
   echo "telemetry smoke: OK"
 elif [[ "$simd_smoke" == 1 ]]; then
-  # SIMD smoke (docs/VECTORIZATION.md): the melt example twice — scalar
-  # reference vs MLK_SIMD=on pack path — comparing the thermo total-energy
-  # column at 1e-6 relative (NVE conserves it, so any masking or remainder
-  # bug shows up as drift). Then the Simd* unit/equivalence suites and the
-  # sanitized standalone build of the pack layer.
+  # SIMD smoke (docs/VECTORIZATION.md): the ReaxFF HNS example twice —
+  # scalar reference vs the MLK_SIMD=on pack path of its vdW kernel, which
+  # still reads the toggle (LJ's atom-parallel kernel does not) — comparing
+  # the thermo total-energy column at 1e-6 relative (NVE conserves it, so
+  # any masking or remainder bug shows up as drift). Then the Simd* and
+  # LJLanes suites and the sanitized standalone build of the pack layer.
   scratch="$(mktemp -d)"
   trap 'rm -rf "$scratch"' EXIT
-  (cd "$scratch" && MLK_SIMD=off \
-     "$build_dir/examples/run_script" "$repo/examples/in.melt" \
-     > "$scratch/melt_scalar.txt")
-  (cd "$scratch" && MLK_SIMD=on \
-     "$build_dir/examples/run_script" "$repo/examples/in.melt" \
-     > "$scratch/melt_simd.txt")
-  awk '/^ *[0-9]+ +-?[0-9]/ {print $5}' "$scratch/melt_scalar.txt" \
+  (cd "$scratch" && MLK_SIMD=off "$build_dir/examples/reaxff_hns" \
+     > "$scratch/hns_scalar.txt")
+  (cd "$scratch" && MLK_SIMD=on "$build_dir/examples/reaxff_hns" \
+     > "$scratch/hns_simd.txt")
+  awk '/^ *[0-9]+ +-?[0-9]/ {print $5}' "$scratch/hns_scalar.txt" \
     > "$scratch/etot_scalar.txt"
-  awk '/^ *[0-9]+ +-?[0-9]/ {print $5}' "$scratch/melt_simd.txt" \
+  awk '/^ *[0-9]+ +-?[0-9]/ {print $5}' "$scratch/hns_simd.txt" \
     > "$scratch/etot_simd.txt"
   [[ -s "$scratch/etot_scalar.txt" ]] || {
     echo "simd smoke: no thermo rows found" >&2; exit 1; }
@@ -171,7 +171,7 @@ elif [[ "$simd_smoke" == 1 ]]; then
     echo "simd smoke: scalar vs MLK_SIMD=on total energy diverged" >&2
     exit 1
   }
-  "$build_dir/tests/minilmp_tests" --gtest_filter='Simd*'
+  "$build_dir/tests/minilmp_tests" --gtest_filter='Simd*:LJLanes.*'
   bash "$repo/tests/simd_sanitize.sh" "$repo"
   echo "simd smoke: OK"
 elif [[ "$balance_smoke" == 1 ]]; then

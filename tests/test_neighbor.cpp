@@ -384,6 +384,54 @@ TEST(Neighbor, WantsRebuildHonorsEveryDelayCheck) {
   EXPECT_TRUE(n.wants_rebuild(104, sim->atom));
 }
 
+// nve/kk moves x on the device only, so the distance check must sync and
+// test this step's positions: with `every 1 delay 0 check yes`, the step on
+// which an atom first passes skin/2 since the last build is the step that
+// rebuilds — not the one after.
+TEST(Neighbor, DeviceIntegratorRebuildsOnTheCrossingStep) {
+  auto sim = make_lj_system(3, 0.8442, 0.0, "lj/cut/kk", 0.0);
+  Input in(*sim);
+  in.line("neigh_modify every 1 delay 0 check yes");
+  in.line("fix 1 all nve/kk");
+  sim->atom.sync<kk::Host>(V_MASK);
+  sim->atom.k_v.h_view(0, 0) = 3.0;  // one fast atom in a cold lattice
+  sim->atom.k_v.h_view(0, 1) = 1.0;
+  sim->atom.modified<kk::Host>(V_MASK);
+  sim->prepare_run();
+
+  const auto positions = [&] {
+    sim->atom.sync<kk::Host>(X_MASK);
+    const auto x = sim->atom.k_x.h_view;
+    std::vector<double> out;
+    for (localint i = 0; i < sim->atom.nlocal; ++i)
+      for (std::size_t d = 0; d < 3; ++d) out.push_back(x(std::size_t(i), d));
+    return out;
+  };
+  const double trigger = 0.25 * sim->neighbor.skin * sim->neighbor.skin;
+  std::vector<double> basis = positions();
+  int rebuilds = 0;
+  Verlet verlet(*sim);
+  verlet.begin(60);
+  while (!verlet.done()) {
+    const Verlet::Phase p = verlet.step();
+    const std::vector<double> x = positions();
+    bool crossed = false;
+    for (std::size_t i = 0; i < x.size(); i += 3) {
+      double rsq = 0.0;
+      for (std::size_t d = 0; d < 3; ++d)
+        rsq += (x[i + d] - basis[i + d]) * (x[i + d] - basis[i + d]);
+      crossed = crossed || rsq > trigger;
+    }
+    EXPECT_EQ(p.rebuild, crossed) << "step " << sim->ntimestep;
+    if (p.rebuild) {
+      ++rebuilds;
+      basis = x;
+    }
+  }
+  verlet.finish();
+  EXPECT_GE(rebuilds, 2);
+}
+
 TEST(Neighbor, DangerousBuildCountedOnlyAtEarliestAllowedStep) {
   Neighbor n;
   n.check = true;

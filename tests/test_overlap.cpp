@@ -123,20 +123,6 @@ TEST(Overlap, SerialMeltTrajectoryBitwiseIdentical) {
   expect_bitwise(serialized, overlapped);
 }
 
-// The same split on the packed row walk: the interior and boundary launches
-// take the SIMD branch of the row body the full kernel runs.
-TEST(Overlap, SerialMeltTrajectoryBitwiseIdenticalSimdOn) {
-  testing::SimdGuard guard;
-  kk::set_simd_enabled(true);
-  const std::uint64_t interior_before =
-      testing::simd_launches("PairComputeLJCut<Device>::interior");
-  const Snapshot serialized = run_serial_melt(false, 40);
-  const Snapshot overlapped = run_serial_melt(true, 40);
-  expect_bitwise(serialized, overlapped);
-  EXPECT_GT(testing::simd_launches("PairComputeLJCut<Device>::interior"),
-            interior_before);
-}
-
 std::vector<Snapshot> run_multirank_melt(int nranks, bool overlap, int steps) {
   init_all();
   std::vector<Snapshot> out(static_cast<std::size_t>(nranks));

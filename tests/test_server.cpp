@@ -227,17 +227,6 @@ TEST(ServerIsolation, BitwiseIdenticalSoloVsCoScheduled) {
   expect_cohort_matches_solo();
 }
 
-// The same cohort on the packed row walk: solo and co-scheduled jobs take
-// the SIMD branch of the same row body.
-TEST(ServerIsolation, BitwiseIdenticalSoloVsCoScheduledSimdOn) {
-  testing::SimdGuard guard;
-  kk::set_simd_enabled(true);
-  const std::uint64_t before =
-      testing::simd_launches("PairComputeLJCut<Device>");
-  expect_cohort_matches_solo();
-  EXPECT_GT(testing::simd_launches("PairComputeLJCut<Device>"), before);
-}
-
 // Same guarantee with fan-out off (sequential phases on the scheduler
 // thread) — scheduling policy must not be load-bearing for correctness.
 TEST(ServerIsolation, BitwiseIdenticalWithoutFanout) {

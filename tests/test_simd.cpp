@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "kokkos/simd.hpp"
+#include "pair/pair_lj_cut_kokkos.hpp"
 #include "snap/sna.hpp"
 #include "snap/sna_recursion.hpp"
 #include "test_helpers.hpp"
@@ -393,17 +394,225 @@ TEST(SimdSnap, DULanesAndForceContractionBitwiseMatchScalarPerLane) {
   });
 }
 
-// --- Scalar-vs-SIMD trajectory equivalence ---------------------------------
+// --- LJ atom lanes vs their W = 1 instantiation ----------------------------
+
+/// Forces on every owned and ghost row, plus the tallies, of one kernel call.
+struct LaneRun {
+  std::vector<double> f;
+  EV ev;
+};
+
+bool same_bytes(const EV& a, const EV& b) {
+  return std::memcmp(&a.evdwl, &b.evdwl, sizeof(double)) == 0 &&
+         std::memcmp(&a.ecoul, &b.ecoul, sizeof(double)) == 0 &&
+         std::memcmp(a.v, b.v, sizeof(a.v)) == 0;
+}
+
+/// A jittered two-type melt of `cells`^3 fcc cells plus one interstitial
+/// atom, so the owned row count (4 cells^3 + 1) leaves a last block with
+/// fewer than W rows. After setup, row 5 is emptied and every seventh row
+/// is cut to a third of its length: the lanes of one block end at
+/// different jj.
+template <class Space>
+std::unique_ptr<Simulation> lane_system(NeighStyle style, bool newton,
+                                        int cells = 3) {
+  init_all();
+  auto sim = std::make_unique<Simulation>();
+  sim->thermo.print = false;
+  Input in(*sim);
+  in.line("units lj");
+  in.line("lattice fcc 0.8442");
+  const std::string c = std::to_string(cells);
+  in.line("create_atoms " + c + " " + c + " " + c + " jitter 0.08 4417");
+  sim->atom.set_ntypes(2);
+  sim->atom.add_atom(2, 1000, 0.84, 0.02, 0.03);
+  sim->atom.sync<kk::Host>(TYPE_MASK);
+  for (localint i = 0; i < sim->atom.nlocal; i += 3)
+    sim->atom.k_type.h_view(std::size_t(i)) = 2;
+  sim->atom.modified<kk::Host>(TYPE_MASK);
+  in.line("mass 1 1.0");
+  in.line("mass 2 2.0");
+  in.line(std::string("pair_style ") +
+          (Space::is_device ? "lj/cut/kk" : "lj/cut/kk/host") + " 2.5");
+  in.line("pair_coeff 1 1 1.0 1.0");
+  in.line("pair_coeff 1 2 0.8 1.1 2.2");
+  in.line("pair_coeff 2 2 1.3 0.9 2.0");
+  auto* pair = dynamic_cast<PairLJCutKokkos<Space>*>(sim->pair.get());
+  pair->set_neighbor_mode(style, newton);
+  sim->setup();
+
+  NeighborList& list = sim->neighbor.list;
+  list.k_numneigh.sync<kk::Host>();
+  auto numneigh = list.k_numneigh.h_view;
+  numneigh(5) = 0;
+  for (std::size_t i = 2; i < std::size_t(list.inum); i += 7)
+    numneigh(i) /= 3;
+  list.k_numneigh.modify<kk::Host>();
+  return sim;
+}
+
+/// Runs f with every Device launch inside it inline on one pool
+/// participant (a nested dispatch), so atomic adds and reduction partials
+/// land in program order, as on a one-thread pool. Host launches are serial
+/// already.
+template <class Space, class F>
+void on_one_participant(const F& f) {
+  if constexpr (Space::is_device)
+    kk::parallel_for("test::one_participant",
+                     kk::RangePolicy<kk::Device>(0, 1),
+                     [&](std::size_t) { f(); });
+  else
+    f();
+}
+
+template <class Space>
+LaneRun collect(Simulation& sim, const EV& ev) {
+  sim.atom.sync<kk::Host>(F_MASK);
+  LaneRun out;
+  out.ev = ev;
+  const auto f = sim.atom.k_f.h_view;
+  for (localint i = 0; i < sim.atom.nall(); ++i)
+    for (std::size_t d = 0; d < 3; ++d) out.f.push_back(f(std::size_t(i), d));
+  return out;
+}
+
+/// The whole force call (identity row map) at lane width W.
+template <class Space, int W>
+LaneRun run_identity(Simulation& sim, bool eflag) {
+  auto* pair = dynamic_cast<PairLJCutKokkos<Space>*>(sim.pair.get());
+  PairComputeConfig cfg;
+  cfg.scatter = kk::default_scatter_mode<Space>();
+  cfg.eflag = eflag;
+  EV ev;
+  on_one_participant<Space>([&] {
+    sim.atom.zero_forces<Space>();
+    ev = pair_compute_dispatch<Space, W>("test::lanes", sim.atom,
+                                         sim.neighbor.list, pair->functor(),
+                                         cfg);
+    sim.atom.modified<Space>(F_MASK);
+  });
+  return collect<Space>(sim, ev);
+}
+
+/// The overlap split's two launches (interior, then boundary rows) at W.
+template <class Space, int W>
+LaneRun run_split(Simulation& sim, bool eflag) {
+  auto* pair = dynamic_cast<PairLJCutKokkos<Space>*>(sim.pair.get());
+  NeighborList& list = sim.neighbor.list;
+  const auto scatter = kk::default_scatter_mode<Space>();
+  EV ev;
+  on_one_participant<Space>([&] {
+    sim.atom.zero_forces<Space>();
+    const PairViews<Space> views(sim.atom, list);
+    list.k_interior.sync<Space>();
+    list.k_boundary.sync<Space>();
+    ev = pair_compute_rows<Space, true, false, W>(
+        "test::interior", views, list.k_interior.template view<Space>(),
+        std::size_t(list.ninterior), pair->functor(), scatter, eflag);
+    ev += pair_compute_rows<Space, true, false, W>(
+        "test::boundary", views, list.k_boundary.template view<Space>(),
+        std::size_t(list.nboundary), pair->functor(), scatter, eflag);
+    sim.atom.modified<Space>(F_MASK);
+  });
+  return collect<Space>(sim, ev);
+}
+
+void expect_lanes_match(const LaneRun& scalar, const LaneRun& lanes,
+                        bool eflag, const char* what) {
+  ASSERT_EQ(scalar.f.size(), lanes.f.size()) << what;
+  EXPECT_TRUE(same_bytes(scalar.f, lanes.f)) << what << ": forces differ";
+  if (eflag) {
+    EXPECT_TRUE(same_bytes(scalar.ev, lanes.ev)) << what << ": tallies differ";
+  }
+}
+
+template <class Space>
+void check_list_style(NeighStyle style, bool newton, const char* what) {
+  auto sim = lane_system<Space>(style, newton);
+  ASSERT_NE(sim->atom.nlocal % NW, 0);
+  for (const bool eflag : {false, true}) {
+    const LaneRun scalar = run_identity<Space, 1>(*sim, eflag);
+    const LaneRun lanes = run_identity<Space, NW>(*sim, eflag);
+    expect_lanes_match(scalar, lanes, eflag, what);
+    if (eflag) {
+      EXPECT_NE(scalar.ev.evdwl, 0.0) << what;
+    }
+  }
+  // Tallies ride along without touching the forces.
+  EXPECT_TRUE(same_bytes(run_identity<Space, NW>(*sim, false).f,
+                         run_identity<Space, NW>(*sim, true).f))
+      << what;
+}
+
+TEST(LJLanes, FullListBitwiseMatchesScalarWidth) {
+  check_list_style<kk::Host>(NeighStyle::Full, false, "host full");
+  check_list_style<kk::Device>(NeighStyle::Full, false, "device full");
+}
+
+TEST(LJLanes, HalfNewtonOnBitwiseMatchesScalarWidth) {
+  check_list_style<kk::Host>(NeighStyle::Half, true, "host half newton");
+  check_list_style<kk::Device>(NeighStyle::Half, true, "device half newton");
+}
+
+TEST(LJLanes, HalfNewtonOffBitwiseMatchesScalarWidth) {
+  check_list_style<kk::Host>(NeighStyle::Half, false, "host half");
+  check_list_style<kk::Device>(NeighStyle::Half, false, "device half");
+}
+
+template <class Space>
+void check_split(const char* what) {
+  // Five cells leave rows more than one ghost cutoff from every face.
+  auto sim = lane_system<Space>(NeighStyle::Full, false, 5);
+  NeighborList& list = sim->neighbor.list;
+  ASSERT_GT(list.ninterior, 0) << what;
+  ASSERT_GT(list.nboundary, 0) << what;
+  ASSERT_TRUE(list.ninterior % NW != 0 || list.nboundary % NW != 0) << what;
+  for (const bool eflag : {false, true}) {
+    const LaneRun scalar = run_split<Space, 1>(*sim, eflag);
+    const LaneRun lanes = run_split<Space, NW>(*sim, eflag);
+    expect_lanes_match(scalar, lanes, eflag, what);
+    // Each full-list row is one complete sum: the split gives the fused
+    // kernel's forces.
+    EXPECT_TRUE(same_bytes(lanes.f, run_identity<Space, NW>(*sim, eflag).f))
+        << what;
+  }
+}
+
+TEST(LJLanes, OverlapRowMapsBitwiseMatchScalarWidth) {
+  check_split<kk::Host>("host split");
+  check_split<kk::Device>("device split");
+}
+
+// A full list adds each row's total once, so its forces are bitwise
+// whatever participant runs which block: no serial wrapper here.
+TEST(LJLanes, FullListForcesBitwiseOnThePool) {
+  auto sim = lane_system<kk::Device>(NeighStyle::Full, false);
+  auto* pair = dynamic_cast<PairLJCutKokkos<kk::Device>*>(sim->pair.get());
+  PairComputeConfig cfg;
+  const auto forces = [&](auto width) {
+    sim->atom.zero_forces<kk::Device>();
+    pair_compute_dispatch<kk::Device, decltype(width)::value>(
+        "test::pool", sim->atom, sim->neighbor.list, pair->functor(), cfg);
+    sim->atom.modified<kk::Device>(F_MASK);
+    return collect<kk::Device>(*sim, EV{}).f;
+  };
+  EXPECT_TRUE(same_bytes(forces(std::integral_constant<int, 1>{}),
+                         forces(std::integral_constant<int, NW>{})));
+}
+
+// --- The team kernel still reads the toggle --------------------------------
 
 struct MeltState {
   double pe = 0.0;
   std::vector<double> x;
 };
 
-MeltState run_melt(bool simd) {
+MeltState run_team_melt(bool simd) {
   SimdGuard guard;
   kk::set_simd_enabled(simd);
   auto sim = testing::make_lj_system(4, 0.8442, 0.05, "lj/cut/kk", 1.44);
+  dynamic_cast<PairLJCutKokkos<kk::Device>*>(sim->pair.get())
+      ->set_parallelism(PairParallelism::Team);
   Input in(*sim);
   in.line("fix 1 all nve");
   in.line("run 40");
@@ -417,11 +626,15 @@ MeltState run_melt(bool simd) {
   return out;
 }
 
-TEST(SimdEquivalence, MeltTrajectoryMatchesScalarWithinTolerance) {
-  // LJ rows reduce i-side sums across lanes (tolerance policy): after 40
-  // NVE steps the trajectories must agree to well below thermo precision.
-  const MeltState scalar = run_melt(false);
-  const MeltState simd = run_melt(true);
+TEST(SimdEquivalence, TeamKernelMeltMatchesScalarWithinTolerance) {
+  // The Fig. 2a team kernel packs neighbors and reduces each chunk across
+  // lanes (tolerance policy): after 40 NVE steps the trajectories must
+  // agree to well below thermo precision.
+  const std::uint64_t before =
+      testing::simd_launches("PairComputeLJCut<Device>");
+  const MeltState scalar = run_team_melt(false);
+  const MeltState simd = run_team_melt(true);
+  EXPECT_GT(testing::simd_launches("PairComputeLJCut<Device>"), before);
   ASSERT_EQ(scalar.x.size(), simd.x.size());
   EXPECT_NEAR(simd.pe, scalar.pe, 1e-8 * std::abs(scalar.pe));
   for (std::size_t k = 0; k < scalar.x.size(); ++k)
