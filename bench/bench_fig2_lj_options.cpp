@@ -107,9 +107,10 @@ int main() {
   banner("Real kernels on this CPU (same code paths, small system)",
          "Fig. 2 measured sanity column");
   {
-    std::printf("measured paths: atom-parallel runs W=%d atom lanes; "
-                "team-parallel packs neighbors only with MLK_SIMD=on (%s)\n",
-                kk::native_simd_width, kk::simd_enabled() ? "on" : "off");
+    std::printf("measured paths (widths fixed at compile time): "
+                "atom-parallel packs W=%d atoms, team-parallel packs W=%d "
+                "neighbors of one atom\n",
+                kk::native_simd_width, kk::native_simd_width);
     Table t({"variant", "time/step [ms] (measured)"});
     const double t_full =
         cpu_variant_time(NeighStyle::Full, false, PairParallelism::Atom, 8);

@@ -22,8 +22,7 @@ namespace mlk {
 
 class AtomSorter {
  public:
-  /// Sort cadence in neighbor rebuilds (`sort every <N>` / MLK_SORT=N;
-  /// 0 = off).
+  /// Sort cadence in neighbor rebuilds (`sort every <N>`; 0 = off).
   int every = 0;
 
   bigint nsorts = 0;

@@ -8,7 +8,6 @@
 #include "io/fault.hpp"
 #include "io/restart_reader.hpp"
 #include "kokkos/profiling.hpp"
-#include "kokkos/simd.hpp"
 #include "tools/chrome_trace.hpp"
 #include "tools/kernel_timer.hpp"
 #include "tools/memory_tracker.hpp"
@@ -143,8 +142,8 @@ void Input::execute(const std::vector<std::string>& words) {
     }
   } else if (cmd == "sort") {
     // sort every <N> | sort off: spatially reorder owned atoms every N
-    // neighbor rebuilds (docs/DECOMPOSITION.md). MLK_SORT=<N> is the
-    // script-free equivalent; off (the default) is the bitwise reference.
+    // neighbor rebuilds (docs/DECOMPOSITION.md); off (the default) is the
+    // bitwise reference.
     if (arg(1) == "off") {
       sim_.sorter.every = 0;
     } else {
@@ -175,12 +174,6 @@ void Input::execute(const std::vector<std::string>& words) {
     // (docs/EXECUTION_MODEL.md). Takes effect when the pair style supports
     // the interior/boundary split (full list + atom parallelism).
     sim_.overlap_enabled = to_bool(arg(1));
-  } else if (cmd == "simd") {
-    // simd on|off: route the LJ team-parallel and ReaxFF vdW kernels
-    // through the kk::simd pack path (docs/VECTORIZATION.md). Script-level
-    // equivalent of MLK_SIMD=on|off; scalar remains the reference path and
-    // the default.
-    kk::set_simd_enabled(to_bool(arg(1)));
   } else if (cmd == "suffix") {
     const std::string& s = arg(1);
     sim_.global_suffix = (s == "off") ? "" : s;

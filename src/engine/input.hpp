@@ -15,7 +15,9 @@
 //   pair_coeff <args...>
 //   neighbor <skin> bin                  (the list is built in the pair
 //                                         style's space, docs/NEIGHBOR.md)
-//   neigh_modify [every N] [delay N] [check yes|no]
+//   neigh_modify [every N] [delay N] [check yes|no] [canonical yes|no]
+//   sort <every N|off>                   (spatial sort, see
+//                                         docs/DECOMPOSITION.md)
 //   newton <on|off>
 //   overlap <on|off>                     (comm/compute overlap, see
 //                                         docs/EXECUTION_MODEL.md)
@@ -44,6 +46,9 @@
 //                                               overrides)
 //   recover <base>                             (resume from the newest
 //                                               CRC-valid base.<step> set)
+//
+// No command selects a kernel's SIMD lane width: widths are fixed at compile
+// time (docs/VECTORIZATION.md).
 #pragma once
 
 #include <map>

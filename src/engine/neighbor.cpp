@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "kokkos/core.hpp"
+#include "kokkos/team.hpp"
 #include "util/error.hpp"
 
 namespace mlk {
@@ -57,36 +59,54 @@ void Neighbor::build(const Atom& atom, const Domain& domain) {
 }
 
 void Neighbor::canonicalize_rows(const Atom& atom) {
+  if (execution_space == ExecSpaceKind::Device)
+    canonicalize_rows_in<kk::Device>(atom);
+  else
+    canonicalize_rows_in<kk::Host>(atom);
+}
+
+template <class Space>
+void Neighbor::canonicalize_rows_in(const Atom& atom) {
   // Host and Device builds emit bitwise-identical tables, so canonicalizing
   // after either yields the same rows. Sorting is by (tag, x, y, z) of the
   // neighbor: tags are storage-order invariant, and the coordinates break
   // ties between distinct periodic images of the same tag (their positions
-  // differ by box lengths). The interior/boundary partition is unaffected —
-  // it lists row indices, not positions within rows.
-  list.k_neighbors.sync<kk::Host>();
-  list.k_numneigh.sync<kk::Host>();
-  auto neigh = list.k_neighbors.h_view;
-  const auto num = list.k_numneigh.h_view;
-  const auto tag = atom.k_tag.h_view;
-  const auto x = atom.k_x.h_view;
-  const localint nrows = list.inum + list.gnum;
-  std::vector<int> row;
-  for (localint i = 0; i < nrows; ++i) {
-    const int nn = num(std::size_t(i));
-    row.assign(nn, 0);
-    for (int jj = 0; jj < nn; ++jj)
-      row[std::size_t(jj)] = neigh(std::size_t(i), std::size_t(jj));
-    std::sort(row.begin(), row.end(), [&](int a, int b) {
-      const std::size_t ja = std::size_t(a), jb = std::size_t(b);
-      if (tag(ja) != tag(jb)) return tag(ja) < tag(jb);
-      if (x(ja, 0) != x(jb, 0)) return x(ja, 0) < x(jb, 0);
-      if (x(ja, 1) != x(jb, 1)) return x(ja, 1) < x(jb, 1);
-      return x(ja, 2) < x(jb, 2);
-    });
-    for (int jj = 0; jj < nn; ++jj)
-      neigh(std::size_t(i), std::size_t(jj)) = row[std::size_t(jj)];
-  }
-  list.k_neighbors.modify<kk::Host>();
+  // differ by box lengths), so the order is total over a row's entries and
+  // any sort gives the same row. Each row is sorted in the space that built
+  // it: the table never crosses host<->device. The interior/boundary
+  // partition is unaffected — it lists row indices, not positions within
+  // rows.
+  const_cast<Atom&>(atom).sync<Space>(X_MASK | TAG_MASK);
+  const auto neigh = list.k_neighbors.view<Space>();
+  const auto num = list.k_numneigh.view<Space>();
+  const auto tag = atom.k_tag.view<Space>();
+  const auto x = atom.k_x.view<Space>();
+  const auto before = [=](int a, int b) {
+    const std::size_t ja = std::size_t(a), jb = std::size_t(b);
+    if (tag(ja) != tag(jb)) return tag(ja) < tag(jb);
+    if (x(ja, 0) != x(jb, 0)) return x(ja, 0) < x(jb, 0);
+    if (x(ja, 1) != x(jb, 1)) return x(ja, 1) < x(jb, 1);
+    return x(ja, 2) < x(jb, 2);
+  };
+  // One team per row: stage the row in team scratch, sort it there, and
+  // write it back (an insertion sort on the strided row itself measured
+  // slower than the host sort at one pool thread).
+  const std::size_t cap = neigh.extent(1);
+  kk::parallel_for(
+      "Neighbor::canonicalize_rows",
+      kk::TeamPolicy<Space>(std::size_t(list.inum + list.gnum), 1)
+          .set_scratch_size(cap * sizeof(int)),
+      [=](const kk::TeamMember& m) {
+        const std::size_t i = m.league_rank();
+        const std::size_t nn = std::size_t(num(i));
+        int* row = m.team_scratch<int>(cap);
+        for (std::size_t k = 0; k < nn; ++k) row[k] = neigh(i, k);
+        // Through a reference: std::sort copies its comparator, and each
+        // copy of `before` would copy its views' shared_ptrs.
+        std::sort(row, row + nn, std::cref(before));
+        for (std::size_t k = 0; k < nn; ++k) neigh(i, k) = row[k];
+      });
+  list.k_neighbors.modify<Space>();
 }
 
 template <class Space>

@@ -132,7 +132,7 @@ class Neighbor {
   /// Canonical row ordering (`neigh_modify canonical yes`,
   /// docs/DECOMPOSITION.md): after every build, sort each row's entries by
   /// the neighbor's global tag (position as the tie-break between periodic
-  /// images of the same tag). Row *contents* are unchanged — only the
+  /// images of the same tag), in `execution_space`. Row *contents* are unchanged — only the
   /// traversal order becomes independent of atom storage order, which makes
   /// per-row force accumulation (full list, newton off) bitwise invariant
   /// under spatial sorting, migration, and rebalancing. Off by default: the
@@ -187,6 +187,8 @@ class Neighbor {
   template <class Space>
   void build_in(const Atom& atom, const Domain& domain);
   void canonicalize_rows(const Atom& atom);
+  template <class Space>
+  void canonicalize_rows_in(const Atom& atom);
   template <class Space>
   bool check_distance_in(Atom& atom) const;
   template <class Space>

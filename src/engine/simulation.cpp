@@ -1,7 +1,6 @@
 #include "engine/simulation.hpp"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "io/restart.hpp"
 #include "io/restart_writer.hpp"
@@ -43,11 +42,6 @@ class SectionScope {
 Simulation::Simulation() {
   units = Units::make("lj");
   fault.arm_from_env();
-  if (const char* s = std::getenv("MLK_OVERLAP"))
-    overlap_enabled = std::atoi(s) != 0;
-  // MLK_SORT=<N> mirrors `sort every <N>` (0 = off), so CI smokes can turn
-  // the spatial sort on without editing scripts.
-  if (const char* s = std::getenv("MLK_SORT")) sorter.every = std::atoi(s);
 }
 
 Simulation::~Simulation() {

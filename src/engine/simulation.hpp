@@ -50,8 +50,8 @@ class Simulation {
   Domain domain;
   Neighbor neighbor;
   CommBrick comm;
-  /// Spatial reorder of owned atoms every N rebuilds (`sort every <N>` /
-  /// MLK_SORT; docs/DECOMPOSITION.md).
+  /// Spatial reorder of owned atoms every N rebuilds (`sort every <N>`;
+  /// docs/DECOMPOSITION.md).
   AtomSorter sorter;
   /// RCB rebalancing of the sub-domain cuts (`balance rcb <thresh>`).
   Balancer balancer;
@@ -71,10 +71,10 @@ class Simulation {
   int newton_override = -1;
 
   // --- comm/compute overlap (docs/EXECUTION_MODEL.md) ---
-  /// Enabled by the `overlap on` input command or MLK_OVERLAP=1. When the
-  /// pair style also supports the interior/boundary split for the current
-  /// neighbor list, non-rebuild steps launch the interior force pass on one
-  /// DeviceInstance while the halo exchange runs on another.
+  /// Enabled by the `overlap on` input command. When the pair style also
+  /// supports the interior/boundary split for the current neighbor list,
+  /// non-rebuild steps launch the interior force pass on one DeviceInstance
+  /// while the halo exchange runs on another.
   bool overlap_enabled = false;
 
   /// True when the next force phase will actually take the overlapped path.

@@ -2,18 +2,16 @@
 // (docs/VECTORIZATION.md).
 //
 // A fixed-width pack type `kk::simd<T, W>` with where()-masking, gathers,
-// and ordered horizontal reductions, plus the runtime `MLK_SIMD` toggle and
-// the per-kernel vectorized-launch counters surfaced in bench metrics.
+// and an ordered horizontal sum.
 //
-// The pack is the single source of vector semantics for the whole engine:
-// kernels written against it instantiate at the native width (AVX-512: 8
-// doubles, otherwise 4) when SIMD is on, and at W == 1 — where every pack
-// op degrades to exactly one scalar op in the same order — when it is off.
-// The W == 1 instantiation therefore *is* the scalar reference path, which
-// is what makes the per-kernel equivalence policy of VECTORIZATION.md
-// checkable. SNAP's lane kernels and the atom-parallel LJ kernel ignore the
-// toggle and always run at the native width: each lane replays the scalar
-// operation sequence.
+// The pack is the single source of vector semantics for the whole engine.
+// A kernel's lane width is a template parameter, fixed when the build
+// instantiates it: kernels run at the native width (AVX-512: 8 doubles,
+// otherwise 4), and at W == 1 every pack op degrades to exactly one scalar
+// op in the same order. The W == 1 instantiation therefore *is* the scalar
+// reference path, which is what makes the per-kernel equivalence policy of
+// VECTORIZATION.md checkable: tests compare each kernel's native width with
+// its own W == 1.
 //
 // Arithmetic lowers through GNU vector extensions (guaranteed SIMD codegen
 // at any optimization level); lane-structured operations (gather, select,
@@ -21,21 +19,14 @@
 // and blends. A plain-array fallback keeps non-GNU compilers building.
 //
 // Floating-point semantics: every lane op is plain IEEE double/float math,
-// identical to the scalar expression; only *horizontal* reductions impose
-// an order (lane 0..W-1, lowest first), so any reassociation relative to a
+// identical to the scalar expression; only the *horizontal* sum imposes an
+// order (lane 0..W-1, lowest first), so any reassociation relative to a
 // scalar loop comes from the accumulation pattern of the calling kernel,
 // never from the pack layer itself.
 #pragma once
 
-#include <atomic>
 #include <cmath>
-#include <cstddef>
-#include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <map>
-#include <mutex>
-#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -52,18 +43,7 @@ inline constexpr int native_simd_width = 8;
 inline constexpr int native_simd_width = 4;
 #endif
 
-// ---------------------------------------------------------------------------
-// Runtime toggle: MLK_SIMD=on|1 enables the vectorized kernel paths;
-// default (unset/off/0) keeps the scalar reference path. The input-script
-// command `simd on|off` calls set_simd_enabled.
-// ---------------------------------------------------------------------------
-
 namespace simd_detail {
-inline std::atomic<int>& enabled_flag() {
-  static std::atomic<int> f{-1};  // -1: not yet read from the environment
-  return f;
-}
-
 #if defined(MLK_SIMD_VECTOR_EXT)
 /// Dependent-context factory for GNU vector types: the element type being a
 /// template parameter keeps the vector_size attribute deferred until
@@ -75,24 +55,6 @@ struct vec_storage {
 };
 #endif
 }  // namespace simd_detail
-
-inline bool simd_enabled() {
-  int v = simd_detail::enabled_flag().load(std::memory_order_relaxed);
-  if (v < 0) {
-    bool on = false;
-    if (const char* e = std::getenv("MLK_SIMD")) {
-      const std::string s(e);
-      on = !(s.empty() || s == "0" || s == "off" || s == "OFF");
-    }
-    v = on ? 1 : 0;
-    simd_detail::enabled_flag().store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-inline void set_simd_enabled(bool on) {
-  simd_detail::enabled_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // simd_mask<W> — per-lane boolean, the value type of where() and of pack
@@ -143,17 +105,7 @@ class simd_mask {
     for (int l = 0; l < W; ++l) acc |= m_[l];
     return acc != 0;
   }
-  bool all() const {
-    long long acc = -1;
-    for (int l = 0; l < W; ++l) acc &= m_[l];
-    return acc != 0;
-  }
   bool none() const { return !any(); }
-  int count() const {
-    int c = 0;
-    for (int l = 0; l < W; ++l) c += m_[l] != 0 ? 1 : 0;
-    return c;
-  }
 
   friend simd_mask operator&&(const simd_mask& a, const simd_mask& b) {
     simd_mask m;
@@ -232,14 +184,6 @@ class simd {
   }
   void store(T* p) const { std::memcpy(p, &v_, W * sizeof(T)); }
 
-  /// Masked load: inactive lanes get `fill` (contiguous source, only the
-  /// active prefix/lanes are dereferenced).
-  static simd load_masked(const T* p, const simd_mask<W>& m, T fill = T(0)) {
-    simd r;
-    for (int l = 0; l < W; ++l) r.v_[l] = m[l] ? p[l] : fill;
-    return r;
-  }
-
   /// Gather through a callable `fn(lane) -> T` for every lane (use when all
   /// lane sources are valid, e.g. padded index arrays). The lanes build a
   /// vector braced-init via pack expansion (left-to-right, so lane order is
@@ -255,27 +199,6 @@ class simd {
     for (int l = 0; l < W; ++l) r.v_[l] = fn(l);
     return r;
 #endif
-  }
-
-  /// Masked gather: `fn` is invoked for active lanes only; inactive lanes
-  /// get `fill`. The guarantee that masked-off sources are never
-  /// dereferenced is what makes remainder loops safe.
-  template <class F>
-  [[gnu::always_inline]] static simd gather_masked(const simd_mask<W>& m,
-                                                   F&& fn, T fill = T(0)) {
-#if defined(MLK_SIMD_VECTOR_EXT)
-    return gather_masked_impl(m, fn, fill,
-                              std::make_integer_sequence<int, W>{});
-#else
-    simd r;
-    for (int l = 0; l < W; ++l) r.v_[l] = m[l] ? fn(l) : fill;
-    return r;
-#endif
-  }
-
-  /// {base, base+step, base+2*step, ...} — lane index packs.
-  static simd iota(T base, T step = T(1)) {
-    return gather([&](int l) { return base + T(l) * step; });
   }
 
   T operator[](int lane) const { return v_[lane]; }
@@ -391,8 +314,6 @@ class simd {
     return m;
   }
 #endif
-  friend simd_mask<W> operator<(const simd& a, T s) { return a < simd(s); }
-  friend simd_mask<W> operator>=(const simd& a, T s) { return a >= simd(s); }
 
  private:
 #if defined(MLK_SIMD_VECTOR_EXT)
@@ -404,12 +325,6 @@ class simd {
   [[gnu::always_inline]] static simd gather_impl(
       F&& fn, std::integer_sequence<int, Ls...>) {
     return simd(storage{fn(Ls)...});
-  }
-  template <class F, int... Ls>
-  [[gnu::always_inline]] static simd gather_masked_impl(
-      const simd_mask<W>& m, F&& fn, T fill,
-      std::integer_sequence<int, Ls...>) {
-    return simd(storage{(m[Ls] ? fn(Ls) : fill)...});
   }
 #endif
 
@@ -445,11 +360,6 @@ inline simd<T, W> select(const simd_mask<W>& m, const simd<T, W>& a,
 #endif
 }
 
-template <class T, int W>
-inline simd<T, W> select(const simd_mask<W>& m, const simd<T, W>& a, T b) {
-  return select(m, a, simd<T, W>(b));
-}
-
 /// Ordered horizontal sum, lane 0 first — the one place the pack layer
 /// fixes an FP association order.
 template <class T, int W>
@@ -460,59 +370,9 @@ inline T reduce_sum(const simd<T, W>& a) {
 }
 
 template <class T, int W>
-inline T reduce_max(const simd<T, W>& a) {
-  T s = a[0];
-  for (int l = 1; l < W; ++l)
-    if (a[l] > s) s = a[l];
-  return s;
-}
-
-/// Masked ordered sum: inactive lanes contribute nothing (not even +0.0, so
-/// signed-zero behaviour matches the scalar loop that skipped them).
-template <class T, int W>
-inline T reduce_sum_masked(const simd_mask<W>& m, const simd<T, W>& a) {
-  T s = T(0);
-  bool seeded = false;
-  for (int l = 0; l < W; ++l) {
-    if (!m[l]) continue;
-    if (!seeded) {
-      s = a[l];
-      seeded = true;
-    } else {
-      s += a[l];
-    }
-  }
-  return s;
-}
-
-template <class T, int W>
 inline simd<T, W> sqrt(const simd<T, W>& a) {
   simd<T, W> r;
   for (int l = 0; l < W; ++l) r.set_lane(l, std::sqrt(a[l]));
-  return r;
-}
-
-/// Lane-serial transcendental (no vector libm in the toolchain): exp runs
-/// one scalar call per lane; the surrounding polynomial/rational math still
-/// vectorizes. Documented in VECTORIZATION.md's porting notes.
-template <class T, int W>
-inline simd<T, W> exp(const simd<T, W>& a) {
-  simd<T, W> r;
-  for (int l = 0; l < W; ++l) r.set_lane(l, std::exp(a[l]));
-  return r;
-}
-
-template <class T, int W>
-inline simd<T, W> min(const simd<T, W>& a, const simd<T, W>& b) {
-  simd<T, W> r;
-  for (int l = 0; l < W; ++l) r.set_lane(l, a[l] < b[l] ? a[l] : b[l]);
-  return r;
-}
-
-template <class T, int W>
-inline simd<T, W> max(const simd<T, W>& a, const simd<T, W>& b) {
-  simd<T, W> r;
-  for (int l = 0; l < W; ++l) r.set_lane(l, a[l] > b[l] ? a[l] : b[l]);
   return r;
 }
 
@@ -542,66 +402,5 @@ template <class T, int W>
 inline where_expr<T, W> where(const simd_mask<W>& m, simd<T, W>& v) {
   return where_expr<T, W>(m, v);
 }
-
-// ---------------------------------------------------------------------------
-// Vectorized-launch accounting: each kernel that takes its SIMD path calls
-// count_launch(name) once per dispatch. Benches attach the counters to
-// their metrics JSON as the "simd" section (docs/OBSERVABILITY.md).
-// ---------------------------------------------------------------------------
-
-namespace simdstats {
-
-namespace detail {
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, std::uint64_t> launches;
-};
-inline Registry& registry() {
-  static Registry r;
-  return r;
-}
-}  // namespace detail
-
-/// Record one vectorized dispatch of `kernel` (launch granularity, not per
-/// row — negligible cost next to the kernel body).
-inline void count_launch(const std::string& kernel) {
-  auto& r = detail::registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  ++r.launches[kernel];
-}
-
-inline std::map<std::string, std::uint64_t> launches() {
-  auto& r = detail::registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return r.launches;
-}
-
-inline void reset() {
-  auto& r = detail::registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.launches.clear();
-}
-
-/// `{"name": count, ...}` for bench metrics composition.
-inline std::string launches_json() {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, n] : launches()) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":" + std::to_string(n);
-  }
-  return out + "}";
-}
-
-/// The full "simd" metrics section: lane width, enabled flag, per-kernel
-/// vectorized launch counts.
-inline std::string json_fragment() {
-  return std::string("{\"width\":") + std::to_string(native_simd_width) +
-         ",\"enabled\":" + (simd_enabled() ? "true" : "false") +
-         ",\"launches\":" + launches_json() + "}";
-}
-
-}  // namespace simdstats
 
 }  // namespace kk

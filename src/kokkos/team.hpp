@@ -6,8 +6,8 @@
 // distributed across pool threads; within a team, *thread* lanes execute
 // sequentially on the owning pool thread (the standard serial-team
 // emulation). The *vector* level is real: vector_for maps ThreadVectorRange
-// iterations onto kk::simd lanes (docs/VECTORIZATION.md) — native pack
-// width with SIMD on, width 1 (the scalar reference) with it off — so
+// iterations onto kk::simd lanes (docs/VECTORIZATION.md) — a width fixed
+// at compile time, native by default and 1 for the scalar reference — so
 // single-source kernels vectorize without per-kernel intrinsics. The plain
 // parallel_for over a ThreadVectorRange remains the scalar per-lane loop.
 // The logical team/vector sizes are preserved so that the perf model can
@@ -158,37 +158,27 @@ void single(const TeamMember&, const F& f) {
 
 /// One block of W logical vector lanes handed to a vector_for body: lanes
 /// cover indices [base, base+W), with `mask` deactivating lanes past the
-/// range end (the remainder block). `width == 1` is the scalar reference
+/// range end (the remainder block). W == 1 is the scalar reference
 /// instantiation.
 template <int W>
 struct LaneBlock {
-  static constexpr int width = W;
   std::size_t base;
   simd_mask<W> mask;
   std::size_t index(int lane) const { return base + std::size_t(lane); }
 };
 
-/// Iterate a range W lanes at a time at a fixed width; `f` receives a
-/// LaneBlock<W> per block, the last one remainder-masked.
-template <int W, class Range, class F>
-void vector_for_width(const Range& r, const F& f) {
+/// Single-source SIMD dispatch over the vector-lane level: iterate a range
+/// W lanes at a time, handing the body `f(const LaneBlock<W>&)` one block
+/// at a time, the last one remainder-masked. The body is written against
+/// kk::simd packs of W lanes. W is fixed at compile time: the native pack
+/// width by default, and W == 1, where every pack op is one scalar op in
+/// the original order, is the scalar reference. See docs/VECTORIZATION.md
+/// for the porting recipe.
+template <int W = native_simd_width, class Range, class F>
+void vector_for(const Range& r, const F& f) {
   std::size_t i = r.begin;
   for (; i + W <= r.end; i += W) f(LaneBlock<W>{i, simd_mask<W>(true)});
   if (i < r.end) f(LaneBlock<W>{i, simd_mask<W>::first(int(r.end - i))});
-}
-
-/// Single-source SIMD dispatch over the vector-lane level: the body is a
-/// generic callable `f(auto lane_block)` written against kk::simd packs of
-/// `decltype(lane_block)::width` lanes. With SIMD on (`MLK_SIMD`, `simd on`)
-/// it instantiates at the native pack width; off, at width 1 — where every
-/// pack op is one scalar op in the original order, i.e. the scalar
-/// reference path. See docs/VECTORIZATION.md for the porting recipe.
-template <class Range, class F>
-void vector_for(const Range& r, const F& f) {
-  if (simd_enabled())
-    vector_for_width<native_simd_width>(r, f);
-  else
-    vector_for_width<1>(r, f);
 }
 
 // League dispatch --------------------------------------------------------

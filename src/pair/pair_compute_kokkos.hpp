@@ -19,9 +19,10 @@
 // l walks row l's neighbors in list order (detail::pair_block) — the paper's
 // one-thread-per-atom GPU mapping (§3.2, §4.1) on this CPU's SIMD lanes.
 // Each lane replays the scalar operation order, so every width gives each
-// row the W = 1 sum bit for bit; the kernel ignores the `simd` toggle. The
-// team-parallel kernel still packs the neighbors of one atom, and only with
-// SIMD on (docs/VECTORIZATION.md).
+// row the W = 1 sum bit for bit. The team-parallel kernel packs W neighbors
+// of one atom and sums each pack across lanes (docs/VECTORIZATION.md). Both
+// take W as a template argument, the native width by default; W = 1 is the
+// scalar reference that tests compare against.
 //
 // The concrete style supplies a device-copyable functor implementing:
 //   double cutsq(itype, jtype)                 — squared cutoff
@@ -327,17 +328,18 @@ EV pair_compute_rows(const std::string& name, const PairViews<Space>& views,
 
 /// Team-parallel kernel over owned rows [0, n): one team per atom, neighbor
 /// loop distributed over (logical) vector lanes — exposes enough
-/// concurrency to saturate a GPU on small systems (§4.1, Fig. 2a). With
-/// SIMD on, kk::vector_for packs W neighbors of the row and reduces each
-/// chunk across lanes (tolerance-equal, docs/VECTORIZATION.md).
-template <class Space, bool FULL, bool NEWTON, class Functor>
+/// concurrency to saturate a GPU on small systems (§4.1, Fig. 2a).
+/// kk::vector_for packs W neighbors of the row and sums each pack across
+/// lanes, so the native width matches W = 1 within tolerance
+/// (docs/VECTORIZATION.md). W = 1 adds each pair in list order, as the
+/// atom-parallel kernel does: at W = 1 the two kernels agree bit for bit.
+template <class Space, bool FULL, bool NEWTON, int W = kk::native_simd_width,
+          class Functor>
 EV pair_compute_team(const std::string& name, const PairViews<Space>& views,
                      std::size_t n, const Functor& func,
                      kk::ScatterMode scatter, bool eflag) {
   kk::ScatterView<double, 2, Space> fscatter(views.f, scatter);
   const auto facc = fscatter.access();
-
-  if (kk::simd_enabled()) kk::simdstats::count_launch(name);
 
   EV total;
   kk::TeamPolicy<Space> policy(n, 1, PairComputeConfig::vector_length);
@@ -353,10 +355,9 @@ EV pair_compute_team(const std::string& name, const PairViews<Space>& views,
           const int itype = views.type(i);
           const double xi0 = views.x(i, 0), xi1 = views.x(i, 1),
                        xi2 = views.x(i, 2);
-          kk::vector_for(
+          kk::vector_for<W>(
               kk::ThreadVectorRange(member, std::size_t(jnum)),
-              [&](auto lanes) {
-                constexpr int W = decltype(lanes)::width;
+              [&](const kk::LaneBlock<W>& lanes) {
                 using pd = kk::simd<double, W>;
                 int j[W], it[W];
                 j[0] = views.neighbors(i, lanes.index(0));  // lane 0 active
@@ -387,12 +388,12 @@ EV pair_compute_team(const std::string& name, const PairViews<Space>& views,
                   const pd factor = detail::pair_weight<W, FULL, NEWTON>(
                       j, views.nlocal);
                   ev_local.evdwl += kk::reduce_sum(factor * epair);
-                  ev_local.v[0] += kk::reduce_sum(factor * (p.dx * fx));
-                  ev_local.v[1] += kk::reduce_sum(factor * (p.dy * fy));
-                  ev_local.v[2] += kk::reduce_sum(factor * (p.dz * fz));
-                  ev_local.v[3] += kk::reduce_sum(factor * (p.dx * fy));
-                  ev_local.v[4] += kk::reduce_sum(factor * (p.dx * fz));
-                  ev_local.v[5] += kk::reduce_sum(factor * (p.dy * fz));
+                  ev_local.v[0] += kk::reduce_sum(factor * p.dx * fx);
+                  ev_local.v[1] += kk::reduce_sum(factor * p.dy * fy);
+                  ev_local.v[2] += kk::reduce_sum(factor * p.dz * fz);
+                  ev_local.v[3] += kk::reduce_sum(factor * p.dx * fy);
+                  ev_local.v[4] += kk::reduce_sum(factor * p.dx * fz);
+                  ev_local.v[5] += kk::reduce_sum(factor * p.dy * fz);
                 }
               });
           member.team_barrier();
@@ -408,9 +409,8 @@ EV pair_compute_team(const std::string& name, const PairViews<Space>& views,
 }
 
 /// Full force kernel for every owned row of `list`, dispatched at runtime
-/// over list style, newton flag and parallelism. W is the atom-parallel
-/// kernel's lane width: tests and bench_fig2 compare W = 1 with the native
-/// width.
+/// over list style, newton flag and parallelism. W is the lane width of
+/// either kernel: tests and bench_fig2 compare W = 1 with the native width.
 template <class Space, int W = kk::native_simd_width, class Functor>
 EV pair_compute_dispatch(const std::string& name, Atom& atom,
                          NeighborList& list, const Functor& func,
@@ -419,7 +419,7 @@ EV pair_compute_dispatch(const std::string& name, Atom& atom,
   const std::size_t n = std::size_t(list.inum);
   const auto launch = [&](auto full, auto newton) {
     if (cfg.parallelism == PairParallelism::Team)
-      return pair_compute_team<Space, full, newton>(
+      return pair_compute_team<Space, full, newton, W>(
           name, views, n, func, cfg.scatter, cfg.eflag);
     return pair_compute_rows<Space, full, newton, W>(
         name, views, [](std::size_t i) { return i; }, n, func, cfg.scatter,

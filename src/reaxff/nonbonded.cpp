@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "kokkos/core.hpp"
-#include "kokkos/simd.hpp"
 #include "util/error.hpp"
 
 namespace mlk::reaxff {
@@ -23,94 +22,12 @@ EV compute_vdw(const ReaxParams& p, Atom& atom, const NeighborList& list,
   const ReaxParams params = p;
   const double cutsq = p.rcut_nonb * p.rcut_nonb;
 
-  // SIMD path: lanes over neighbors, taper/Morse polynomials evaluated on
-  // packs (the r>=rcut early-outs in taper7/dtaper7 never fire on active
-  // lanes — the cutoff mask already excludes them, so the polynomial is
-  // inlined unguarded). i-row sums reassociate across lanes — tolerance
-  // policy (docs/VECTORIZATION.md).
-  const bool use_simd = kk::simd_enabled();
-  if (use_simd) kk::simdstats::count_launch("ReaxFF::VdW");
-
   EV total;
   kk::parallel_reduce(
       "ReaxFF::VdW", kk::RangePolicy<Space>(0, std::size_t(list.inum)),
       [=](std::size_t i, EV& ev) {
         double fx = 0.0, fy = 0.0, fz = 0.0;
         const int jnum = numneigh(i);
-        if (use_simd && jnum > 0) {
-          constexpr int W = kk::native_simd_width;
-          using pd = kk::simd<double, W>;
-          const pd xi0(x(i, 0)), xi1(x(i, 1)), xi2(x(i, 2));
-          const pd rcut_p(params.rcut_nonb);
-          const pd morse_a(params.alpha_vdw / params.r_vdw * 0.5);
-          pd afx, afy, afz, aev, av[6];
-          const kk::simd_mask<W> all(true);
-          int j[W];
-          const auto chunk = [&](const kk::simd_mask<W>& act) {
-            const pd dx =
-                xi0 - pd::gather([&](int l) { return x(std::size_t(j[l]), 0); });
-            const pd dy =
-                xi1 - pd::gather([&](int l) { return x(std::size_t(j[l]), 1); });
-            const pd dz =
-                xi2 - pd::gather([&](int l) { return x(std::size_t(j[l]), 2); });
-            const pd rsq = dx * dx + dy * dy + dz * dz;
-            const kk::simd_mask<W> m =
-                act && (rsq < cutsq) && (rsq >= pd(1e-20));
-            if (m.none()) return;
-            const pd r = kk::sqrt(kk::select(m, rsq, pd(1.0)));
-            // taper7/dtaper7 on packs (s = r/rcut; Horner as in the scalars).
-            const pd s = r / rcut_p;
-            const pd s3 = s * s * s;
-            const pd tap =
-                pd(1.0) +
-                s3 * s * (pd(-35.0) + s * (pd(84.0) + s * (pd(-70.0) + s * 20.0)));
-            const pd dtap =
-                s3 * (pd(-140.0) + s * (pd(420.0) + s * (pd(-420.0) + s * 140.0))) /
-                params.rcut_nonb;
-            // Morse: e = exp(-alpha*(r/r_vdw - 1)/2); em = D(e^2 - 2e).
-            const pd e = kk::exp(pd(-params.alpha_vdw * 0.5) *
-                                 (r / params.r_vdw - 1.0));
-            const pd em = params.D_vdw * (e * e - 2.0 * e);
-            const pd dem =
-                params.D_vdw * (pd(-2.0) * morse_a * e * e + 2.0 * morse_a * e);
-            const pd fpair = kk::select(m, -(dtap * em + tap * dem) / r, pd(0.0));
-            afx += dx * fpair;
-            afy += dy * fpair;
-            afz += dz * fpair;
-            if (eflag) {
-              aev += kk::select(m, pd(0.5) * tap * em, pd(0.0));
-              av[0] += 0.5 * dx * dx * fpair;
-              av[1] += 0.5 * dy * dy * fpair;
-              av[2] += 0.5 * dz * dz * fpair;
-              av[3] += 0.5 * dx * dy * fpair;
-              av[4] += 0.5 * dx * dz * fpair;
-              av[5] += 0.5 * dy * dz * fpair;
-            }
-          };
-          const int nfull = jnum & ~(W - 1);
-          for (int jj = 0; jj < nfull; jj += W) {
-            for (int l = 0; l < W; ++l) j[l] = neigh(i, std::size_t(jj + l));
-            chunk(all);
-          }
-          const int rem = jnum - nfull;
-          if (rem > 0) {
-            j[0] = neigh(i, std::size_t(nfull));
-            for (int l = 1; l < W; ++l)
-              j[l] = l < rem ? neigh(i, std::size_t(nfull + l)) : j[0];
-            chunk(kk::simd_mask<W>::first(rem));
-          }
-          fx = kk::reduce_sum(afx);
-          fy = kk::reduce_sum(afy);
-          fz = kk::reduce_sum(afz);
-          if (eflag) {
-            ev.evdwl += kk::reduce_sum(aev);
-            for (int k = 0; k < 6; ++k) ev.v[k] += kk::reduce_sum(av[k]);
-          }
-          f(i, 0) += fx;
-          f(i, 1) += fy;
-          f(i, 2) += fz;
-          return;
-        }
         for (int jj = 0; jj < jnum; ++jj) {
           const int j = neigh(i, std::size_t(jj));
           const double dx = x(i, 0) - x(std::size_t(j), 0);

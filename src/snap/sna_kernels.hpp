@@ -7,9 +7,9 @@
 //
 // Every stage is one lane kernel at the native kk::simd width W. Each lane
 // replays the scalar operation sequence of the sna_recursion.hpp templates,
-// so results are bitwise those of a one-lane evaluation and no stage reads
-// the `simd` toggle (docs/VECTORIZATION.md). Lane buffers live in team
-// scratch (§4.4 software-managed cache).
+// so results are bitwise those of a one-lane evaluation
+// (docs/VECTORIZATION.md). Lane buffers live in team scratch (§4.4
+// software-managed cache).
 //   ComputeUi          — one team per atom, owning its U_tot row (no
 //                        atomics): the self term, then the U recursion with
 //                        lanes over W neighbors. Each `ui_batch` neighbors

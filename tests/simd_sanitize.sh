@@ -3,7 +3,7 @@
 # run_tier1.sh --simd): compile tests/simd_sanitize_main.cpp standalone with
 # address+undefined sanitizers — the same flag set CMake's MLK_SANITIZE
 # option would inject — and run it. The pack layer is header-only, so this
-# covers every masked load, gather, remainder chunk, and where() blend
+# covers every gather, load/store, remainder chunk, select and where() blend
 # without rebuilding the whole tree under sanitizers.
 #
 # Usage: simd_sanitize.sh <src_dir> [compiler]

@@ -235,6 +235,22 @@ TEST(DataMovement, DeviceResidentRunAvoidsTransfers) {
   EXPECT_EQ(list.k_neighbors.transfer_count(), before_neigh);
   EXPECT_EQ(list.k_numneigh.transfer_count(), before_num);
 
+  // Canonical rows are sorted in the space that built them: still no copy,
+  // from the first canonical build through the run.
+  auto canon = make_lj_system(2, 0.8442, 0.0, "lj/cut/kk", 1.0);
+  Input in_canon(*canon);
+  in_canon.line("fix 1 all nve/kk");
+  in_canon.line("thermo 100");
+  in_canon.line("neigh_modify every 5 check no canonical yes");
+  const NeighborList& clist = canon->neighbor.list;
+  const std::size_t canon_neigh = clist.k_neighbors.transfer_count();
+  const std::size_t canon_num = clist.k_numneigh.transfer_count();
+  canon->setup();
+  canon->run(50);
+  EXPECT_GE(canon->neighbor.nbuilds, 10);
+  EXPECT_EQ(clist.k_neighbors.transfer_count(), canon_neigh);
+  EXPECT_EQ(clist.k_numneigh.transfer_count(), canon_num);
+
   // A plain host style gets a host-built list: nothing to copy either.
   auto plain = make_lj_system(2, 0.8442, 0.0, "lj/cut", 1.0);
   Input in_plain(*plain);

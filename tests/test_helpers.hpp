@@ -2,29 +2,13 @@
 // used by force-correctness property tests across all potentials.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 
-#include "kokkos/simd.hpp"
 #include "minilammps.hpp"
 
 namespace mlk::testing {
-
-/// Restores the runtime SIMD toggle on scope exit so tests can flip it
-/// freely without leaking state into other suites (default is off).
-struct SimdGuard {
-  bool was = kk::simd_enabled();
-  ~SimdGuard() { kk::set_simd_enabled(was); }
-};
-
-/// Vectorized launches of `kernel` recorded so far (kk::simdstats).
-inline std::uint64_t simd_launches(const std::string& kernel) {
-  const auto launches = kk::simdstats::launches();
-  const auto it = launches.find(kernel);
-  return it == launches.end() ? 0 : it->second;
-}
 
 /// Build a serial LJ system on a jittered fcc lattice, fully set up
 /// (ghosts + neighbor list + initial forces).

@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -158,18 +157,6 @@ TEST(Overlap, TwoRankMeltTrajectoryBitwiseIdentical) {
   ASSERT_EQ(serialized.size(), overlapped.size());
   for (std::size_t r = 0; r < serialized.size(); ++r)
     expect_bitwise(serialized[r], overlapped[r]);
-}
-
-TEST(Overlap, EnvVarEnablesOverlap) {
-  setenv("MLK_OVERLAP", "1", 1);
-  Simulation on;
-  EXPECT_TRUE(on.overlap_enabled);
-  setenv("MLK_OVERLAP", "0", 1);
-  Simulation off;
-  EXPECT_FALSE(off.overlap_enabled);
-  unsetenv("MLK_OVERLAP");
-  Simulation unset;
-  EXPECT_FALSE(unset.overlap_enabled);
 }
 
 TEST(Overlap, InputCommandTogglesOverlap) {

@@ -21,8 +21,6 @@ namespace {
 using pd = kk::simd<double, 4>;
 using pm = kk::simd_mask<4>;
 
-using testing::SimdGuard;
-
 TEST(SimdPack, BroadcastLoadStoreRoundTrip) {
   const double src[4] = {1.5, -2.0, 3.25, 0.0};
   double dst[4] = {0, 0, 0, 0};
@@ -75,16 +73,16 @@ TEST(SimdPack, NegationFlipsSignBitLikeScalar) {
 }
 
 TEST(SimdPack, ComparisonsAndSelect) {
-  const pd a = pd::iota(0.0);  // 0 1 2 3
+  const double av[4] = {0.0, 1.0, 2.0, 3.0};
+  const pd a = pd::load(av);
   const pm lt = a < pd(2.0);
   EXPECT_TRUE(lt[0]);
   EXPECT_TRUE(lt[1]);
   EXPECT_FALSE(lt[2]);
   EXPECT_FALSE(lt[3]);
-  EXPECT_EQ(lt.count(), 2);
   EXPECT_TRUE(lt.any());
-  EXPECT_FALSE(lt.all());
   EXPECT_FALSE(lt.none());
+  EXPECT_TRUE((a < pd(0.0)).none());
 
   const pd blended = kk::select(lt, pd(1.0), pd(-1.0));
   for (int l = 0; l < 4; ++l) EXPECT_EQ(blended[l], l < 2 ? 1.0 : -1.0);
@@ -97,20 +95,6 @@ TEST(SimdPack, GatherMatchesScalarReference) {
   for (int l = 0; l < 4; ++l) EXPECT_EQ(g[l], table[map[l]]);
 }
 
-TEST(SimdPack, MaskedGatherNeverTouchesInactiveLanes) {
-  int calls = 0;
-  const pm m = pm::first(2);
-  const pd g = pd::gather_masked(m, [&](int l) {
-    ++calls;
-    return double(l + 1);
-  }, -9.0);
-  EXPECT_EQ(calls, 2);  // inactive sources must not be dereferenced
-  EXPECT_EQ(g[0], 1.0);
-  EXPECT_EQ(g[1], 2.0);
-  EXPECT_EQ(g[2], -9.0);
-  EXPECT_EQ(g[3], -9.0);
-}
-
 TEST(SimdPack, ReduceSumIsLaneOrdered) {
   // Values whose sum depends on association order: only the documented
   // lane-0-first order yields 1.0.
@@ -120,40 +104,24 @@ TEST(SimdPack, ReduceSumIsLaneOrdered) {
   a.set_lane(2, -1e16);
   a.set_lane(3, 1.0);
   EXPECT_EQ(kk::reduce_sum(a), ((1e16 + 1.0) + -1e16) + 1.0);
-  EXPECT_EQ(kk::reduce_max(pd::iota(-3.0)), 0.0);
-}
-
-TEST(SimdPack, MaskedReductionSkipsInactive) {
-  pd a = pd::iota(1.0);  // 1 2 3 4
-  EXPECT_EQ(kk::reduce_sum_masked(pm::first(3), a), 6.0);
-  EXPECT_EQ(kk::reduce_sum_masked(pm(false), a), 0.0);  // all-false mask
-  // Signed zero: a skipped scalar loop never adds +0.0, so a single active
-  // -0.0 lane must stay -0.0 (seeded, not accumulated onto +0.0).
-  pd z;
-  z.set_lane(0, -0.0);
-  EXPECT_TRUE(std::signbit(kk::reduce_sum_masked(pm::first(1), z)));
 }
 
 TEST(SimdPack, MathFunctionsAreLanewise) {
-  const pd a = pd::iota(1.0);
-  for (int l = 0; l < 4; ++l) {
-    EXPECT_EQ(kk::sqrt(a)[l], std::sqrt(double(l + 1)));
-    EXPECT_EQ(kk::exp(a)[l], std::exp(double(l + 1)));
-  }
-  EXPECT_EQ(kk::min(pd(2.0), pd::iota(0.0))[3], 2.0);
-  EXPECT_EQ(kk::max(pd(2.0), pd::iota(0.0))[3], 3.0);
+  const double av[4] = {1.0, 2.0, 3.0, 4.0};
+  const pd r = kk::sqrt(pd::load(av));
+  for (int l = 0; l < 4; ++l) EXPECT_EQ(r[l], std::sqrt(av[l]));
 }
 
 TEST(SimdMask, FirstAndLogicalOps) {
   EXPECT_TRUE(pm::first(0).none());
-  EXPECT_TRUE(pm::first(4).all());
   const pm a = pm::first(3), b = !pm::first(1);
-  const pm both = a && b;  // lanes 1, 2
-  EXPECT_FALSE(both[0]);
-  EXPECT_TRUE(both[1]);
-  EXPECT_TRUE(both[2]);
-  EXPECT_FALSE(both[3]);
-  EXPECT_EQ((a || b).count(), 4);
+  for (int l = 0; l < 4; ++l) {
+    EXPECT_TRUE(pm::first(4)[l]);
+    EXPECT_EQ(a[l], l < 3);
+    EXPECT_EQ(b[l], l >= 1);
+    EXPECT_EQ((a && b)[l], l == 1 || l == 2);
+    EXPECT_TRUE((a || b)[l]);
+  }
 }
 
 TEST(SimdWhere, MaskedAccumulateLeavesInactiveLanesUntouched) {
@@ -171,7 +139,8 @@ TEST(SimdWhere, MaskedAccumulateLeavesInactiveLanesUntouched) {
 }
 
 TEST(SimdWhere, RemainderLoopMatchesScalarSum) {
-  // The canonical remainder pattern: 7 elements in W=4 chunks, masked tail.
+  // The kernels' remainder pattern: 7 elements in W=4 chunks, the tail
+  // masked with first() and its inactive lanes padded with a valid source.
   const double v[7] = {0.5, 1.25, -2.0, 3.0, 4.5, -0.75, 2.25};
   double scalar = 0.0;
   for (double e : v) scalar += e * e;
@@ -182,8 +151,9 @@ TEST(SimdWhere, RemainderLoopMatchesScalarSum) {
     const pd p = pd::load(v + i);
     acc += p * p;
   }
-  const pm tail = pm::first(7 - nfull);
-  const pd p = pd::load_masked(v + nfull, tail);
+  const int rem = 7 - nfull;
+  const pm tail = pm::first(rem);
+  const pd p = pd::gather([&](int l) { return v[nfull + (l < rem ? l : 0)]; });
   kk::where(tail, acc) += p * p;
   EXPECT_NEAR(kk::reduce_sum(acc), scalar, 1e-15 * std::abs(scalar));
 }
@@ -194,31 +164,8 @@ TEST(SimdWidthOne, IsTheScalarReferencePath) {
   EXPECT_EQ((a * b + a)[0], 3.0 * 4.0 + 3.0);
   EXPECT_EQ(kk::reduce_sum(a), 3.0);
   kk::simd_mask<1> m(true);
-  EXPECT_TRUE(m.all());
+  EXPECT_TRUE(m[0]);
   EXPECT_EQ(kk::select(m, a, b)[0], 3.0);
-}
-
-TEST(SimdStats, LaunchCountersAccumulate) {
-  kk::simdstats::reset();
-  kk::simdstats::count_launch("TestKernel");
-  kk::simdstats::count_launch("TestKernel");
-  const auto launches = kk::simdstats::launches();
-  ASSERT_EQ(launches.count("TestKernel"), 1u);
-  EXPECT_EQ(launches.at("TestKernel"), 2u);
-  EXPECT_NE(kk::simdstats::json_fragment().find("\"width\""), std::string::npos);
-  kk::simdstats::reset();
-  EXPECT_TRUE(kk::simdstats::launches().empty());
-}
-
-TEST(SimdInput, ScriptCommandTogglesPackPath) {
-  SimdGuard guard;
-  init_all();
-  Simulation sim;
-  Input in(sim);
-  in.line("simd on");
-  EXPECT_TRUE(kk::simd_enabled());
-  in.line("simd off");
-  EXPECT_FALSE(kk::simd_enabled());
 }
 
 // --- SNAP lane templates vs their double instantiation ----------------------
@@ -476,13 +423,16 @@ LaneRun collect(Simulation& sim, const EV& ev) {
   return out;
 }
 
-/// The whole force call (identity row map) at lane width W.
+/// The whole force call (identity row map) at lane width W, through the
+/// atom-parallel kernel or the team-parallel one.
 template <class Space, int W>
-LaneRun run_identity(Simulation& sim, bool eflag) {
+LaneRun run_identity(Simulation& sim, bool eflag,
+                     PairParallelism par = PairParallelism::Atom) {
   auto* pair = dynamic_cast<PairLJCutKokkos<Space>*>(sim.pair.get());
   PairComputeConfig cfg;
   cfg.scatter = kk::default_scatter_mode<Space>();
   cfg.eflag = eflag;
+  cfg.parallelism = par;
   EV ev;
   on_one_participant<Space>([&] {
     sim.atom.zero_forces<Space>();
@@ -600,46 +550,45 @@ TEST(LJLanes, FullListForcesBitwiseOnThePool) {
                          forces(std::integral_constant<int, NW>{})));
 }
 
-// --- The team kernel still reads the toggle --------------------------------
+// --- The team kernel: neighbor lanes, W = 1 as its reference --------------
 
-struct MeltState {
-  double pe = 0.0;
-  std::vector<double> x;
-};
-
-MeltState run_team_melt(bool simd) {
-  SimdGuard guard;
-  kk::set_simd_enabled(simd);
-  auto sim = testing::make_lj_system(4, 0.8442, 0.05, "lj/cut/kk", 1.44);
-  dynamic_cast<PairLJCutKokkos<kk::Device>*>(sim->pair.get())
-      ->set_parallelism(PairParallelism::Team);
-  Input in(*sim);
-  in.line("fix 1 all nve");
-  in.line("run 40");
-  MeltState out;
-  out.pe = testing::total_pe(*sim);
-  sim->atom.sync<kk::Host>(X_MASK);
-  auto x = sim->atom.k_x.h_view;
-  for (localint i = 0; i < sim->atom.nlocal; ++i)
-    for (int d = 0; d < 3; ++d)
-      out.x.push_back(x(std::size_t(i), std::size_t(d)));
-  return out;
+/// The team kernel sums each pack of W neighbors across lanes, so its native
+/// width matches its W = 1 within tolerance. At W = 1 it adds each pair in
+/// list order, as the atom-parallel kernel does, and the two share
+/// detail::pair_lanes: on one participant their forces and tallies are
+/// byte-identical.
+template <class Space>
+void check_team(NeighStyle style, bool newton, const char* what) {
+  auto sim = lane_system<Space>(style, newton);
+  const auto team = PairParallelism::Team;
+  for (const bool eflag : {false, true}) {
+    const LaneRun atom1 = run_identity<Space, 1>(*sim, eflag);
+    const LaneRun team1 = run_identity<Space, 1>(*sim, eflag, team);
+    const LaneRun lanes = run_identity<Space, NW>(*sim, eflag, team);
+    expect_lanes_match(atom1, team1, eflag, what);
+    ASSERT_EQ(team1.f.size(), lanes.f.size()) << what;
+    for (std::size_t k = 0; k < team1.f.size(); ++k)
+      EXPECT_NEAR(lanes.f[k], team1.f[k], 1e-8) << what << " force " << k;
+    if (eflag) {
+      EXPECT_NE(team1.ev.evdwl, 0.0) << what;
+      EXPECT_NEAR(lanes.ev.evdwl, team1.ev.evdwl,
+                  1e-8 * std::abs(team1.ev.evdwl))
+          << what;
+      for (int k = 0; k < 6; ++k)
+        EXPECT_NEAR(lanes.ev.v[k], team1.ev.v[k],
+                    1e-8 * std::abs(team1.ev.v[k]))
+            << what << " virial " << k;
+    }
+  }
 }
 
-TEST(SimdEquivalence, TeamKernelMeltMatchesScalarWithinTolerance) {
-  // The Fig. 2a team kernel packs neighbors and reduces each chunk across
-  // lanes (tolerance policy): after 40 NVE steps the trajectories must
-  // agree to well below thermo precision.
-  const std::uint64_t before =
-      testing::simd_launches("PairComputeLJCut<Device>");
-  const MeltState scalar = run_team_melt(false);
-  const MeltState simd = run_team_melt(true);
-  EXPECT_GT(testing::simd_launches("PairComputeLJCut<Device>"), before);
-  ASSERT_EQ(scalar.x.size(), simd.x.size());
-  EXPECT_NEAR(simd.pe, scalar.pe, 1e-8 * std::abs(scalar.pe));
-  for (std::size_t k = 0; k < scalar.x.size(); ++k)
-    EXPECT_NEAR(simd.x[k], scalar.x[k], 1e-8)
-        << "coordinate " << k << " diverged";
+TEST(LJLanes, TeamKernelMatchesScalarWidth) {
+  check_team<kk::Host>(NeighStyle::Full, false, "host team full");
+  check_team<kk::Device>(NeighStyle::Full, false, "device team full");
+  check_team<kk::Host>(NeighStyle::Half, true, "host team half newton");
+  check_team<kk::Device>(NeighStyle::Half, true, "device team half newton");
+  check_team<kk::Host>(NeighStyle::Half, false, "host team half");
+  check_team<kk::Device>(NeighStyle::Half, false, "device team half");
 }
 
 }  // namespace
