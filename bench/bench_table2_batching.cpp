@@ -1,6 +1,7 @@
 // Reproduces Table 2: relative performance uplift from work-batching in the
-// top three SNAP kernels on NVIDIA H100 and AMD MI300A (64k atoms), plus a
-// measured column running the real batched kernels on this CPU.
+// top three SNAP kernels on NVIDIA H100 and AMD MI300A (64k atoms), from the
+// GPU performance model. The batch factors are model inputs (SnapConfig);
+// the CPU kernels have no batching knob (EXPERIMENTS.md, Table 2).
 //
 // Paper values: ComputeUi 2.23x (batch 4) H100 / 1.75x (batch 2) MI300A;
 //               ComputeYi 1.54x / 1.04x (batch 4);
@@ -8,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "snap/pair_snap_kokkos.hpp"
 
 using namespace mlk;
 using namespace mlk::perf;
@@ -20,23 +20,6 @@ double kernel_time(const GpuModel& gpu, const std::vector<KernelWorkload>& ws,
   for (const auto& w : ws)
     if (w.name.find(name) != std::string::npos) return gpu.time(w).seconds;
   return 0.0;
-}
-
-double cpu_snap_step(int ui_batch) {
-  init_all();
-  Simulation sim;
-  sim.thermo.print = false;
-  Input in(sim);
-  in.line("units metal");
-  in.line("lattice bcc 3.16");
-  in.line("create_atoms 4 4 4 jitter 0.02 5511");
-  in.line("mass 1 183.84");
-  in.line("pair_style snap/kk");
-  in.line("pair_coeff * * 4.7 8 7771");
-  auto* pair = dynamic_cast<PairSNAPKokkos<kk::Device>*>(sim.pair.get());
-  pair->set_ui_batch(ui_batch);
-  sim.setup();
-  return bench::time_seconds([&] { sim.compute_forces(false); }, 3);
 }
 
 }  // namespace
@@ -99,17 +82,5 @@ int main() {
   t.print();
   std::printf("shape check: all uplifts > 1 on both architectures; batching "
               "helps everywhere because it reduces atomics and exposes ILP\n");
-
-  banner("Real batched ComputeUi on this CPU (2k atoms, twojmax=8)",
-         "Table 2 measured sanity column");
-  {
-    Table m({"ui_batch", "force eval [ms] (measured)"});
-    for (int b : {1, 2, 4, 8})
-      m.add_row({std::to_string(b), Table::num(1e3 * cpu_snap_step(b), 2)});
-    m.print();
-    std::printf("note: batching helps on the CPU too — fewer accumulation "
-                "passes over the U arrays — though the device-side win "
-                "(fewer FP64 atomics + ILP) is the paper's point\n");
-  }
   return 0;
 }

@@ -1,9 +1,8 @@
 // snap_tungsten — the paper's machine-learning potential case study (§4.3):
 // bcc tungsten driven by the SNAP bispectrum potential, run with the Kokkos
-// device pipeline (ComputeUi -> ComputeYi -> ComputeFusedDeidrj) and the
-// Table 2 work-batching knobs exposed on the command line.
+// device pipeline (ComputeUi -> ComputeYi -> ComputeFusedDeidrj).
 //
-// Usage: snap_tungsten [cells] [steps] [twojmax] [ui_batch]
+// Usage: snap_tungsten [cells] [steps] [twojmax]
 #include <cstdio>
 #include <cstdlib>
 
@@ -14,7 +13,6 @@ int main(int argc, char** argv) {
   const int cells = argc > 1 ? std::atoi(argv[1]) : 4;
   const int steps = argc > 2 ? std::atoi(argv[2]) : 20;
   const int twojmax = argc > 3 ? std::atoi(argv[3]) : 8;
-  const int ui_batch = argc > 4 ? std::atoi(argv[4]) : 4;
 
   mlk::init_all();
   mlk::Simulation sim;
@@ -32,18 +30,15 @@ int main(int argc, char** argv) {
   in.line("fix 1 all nve/kk");
   in.line("thermo 5");
 
-  auto* pair =
-      dynamic_cast<mlk::PairSNAPKokkos<kk::Device>*>(sim.pair.get());
-  pair->set_ui_batch(ui_batch);
-
   in.line("run " + std::to_string(steps));
 
+  auto* pair =
+      dynamic_cast<mlk::PairSNAPKokkos<kk::Device>*>(sim.pair.get());
   const auto& idx = pair->kernels()->idx();
   std::printf("\nSNAP configuration:\n");
   std::printf("  twojmax=%d -> %d U components, %d Z entries, %d bispectrum "
               "coefficients\n",
               twojmax, idx.idxu_max, idx.idxz_max, idx.idxb_max);
-  std::printf("  ComputeUi neighbor batch: %d (Table 2 knob)\n", ui_batch);
   std::printf("  energy conservation: compare TotEng across the thermo rows "
               "above (drift should be well under 0.1%%)\n");
   return 0;

@@ -38,7 +38,7 @@ void ComputeSnapBispectrum::evaluate(Simulation& sim) {
                             x(std::size_t(j), 1) - x(std::size_t(i), 1),
                             x(std::size_t(j), 2) - x(std::size_t(i), 2)};
       const double rsq = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2];
-      if (rsq >= rcutsq || rsq < 1e-20) continue;
+      if (!snap::in_snap_cutoff(rsq, rcutsq)) continue;
       sna_->add_neighbor_ui(dr, std::sqrt(rsq));
     }
     sna_->compute_zi();

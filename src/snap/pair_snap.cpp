@@ -62,7 +62,7 @@ void PairSNAP::compute(Simulation& sim, bool eflag) {
       const double dy = x(std::size_t(j), 1) - x(std::size_t(i), 1);
       const double dz = x(std::size_t(j), 2) - x(std::size_t(i), 2);
       const double rsq = dx * dx + dy * dy + dz * dz;
-      if (rsq >= rcutsq || rsq < 1e-20) continue;
+      if (!snap::in_snap_cutoff(rsq, rcutsq)) continue;
       jlist.push_back(j);
       drlist.push_back(dx);
       drlist.push_back(dy);

@@ -15,16 +15,9 @@ PairSNAPKokkos<Space>::PairSNAPKokkos() {
 }
 
 template <class Space>
-void PairSNAPKokkos<Space>::set_ui_batch(int b) {
-  ui_batch_ = b;
-  if (snakk_) snakk_->ui_batch = b;
-}
-
-template <class Space>
 void PairSNAPKokkos<Space>::init(Simulation& sim) {
   PairSNAP::init(sim);
   snakk_ = std::make_unique<snap::SNAKokkos<Space>>(params_);
-  snakk_->ui_batch = ui_batch_;
 }
 
 template <class Space>

@@ -17,14 +17,10 @@ class PairSNAPKokkos : public PairSNAP {
   void init(Simulation& sim) override;
   void compute(Simulation& sim, bool eflag) override;
 
-  /// Work-batching knob (Table 2 reproduction).
-  void set_ui_batch(int b);
-
   snap::SNAKokkos<Space>* kernels() { return snakk_.get(); }
 
  private:
   std::unique_ptr<snap::SNAKokkos<Space>> snakk_;
-  int ui_batch_ = 4;
 };
 
 void register_pair_snap_kokkos();

@@ -1,14 +1,10 @@
 #include "snap/sna.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "util/error.hpp"
 
 namespace mlk::snap {
-
-namespace {
-constexpr double kPi = 3.14159265358979323846;
-}
 
 SNA::SNA(const SnaParams& p) : params_(p) {
   require(p.rcut > p.rmin0, "SNA: rcut must exceed rmin0");
@@ -29,369 +25,60 @@ SNA::SNA(const SnaParams& p) : params_(p) {
   }
 }
 
-double SNA::sfac(double r) const {
-  if (!params_.switch_flag) return 1.0;
-  if (r <= params_.rmin0) return 1.0;
-  if (r >= params_.rcut) return 0.0;
-  const double t = (r - params_.rmin0) / (params_.rcut - params_.rmin0);
-  return 0.5 * (std::cos(t * kPi) + 1.0);
-}
-
-double SNA::dsfac(double r) const {
-  if (!params_.switch_flag) return 0.0;
-  if (r <= params_.rmin0 || r >= params_.rcut) return 0.0;
-  const double span = params_.rcut - params_.rmin0;
-  const double t = (r - params_.rmin0) / span;
-  return -0.5 * kPi / span * std::sin(t * kPi);
-}
-
 void SNA::zero_ui() {
-  std::fill(utot_r_.begin(), utot_r_.end(), 0.0);
-  std::fill(utot_i_.begin(), utot_i_.end(), 0.0);
-  // Self term: U starts from the identity representation.
-  for (int j = 0; j <= params_.twojmax; ++j) {
-    const int base = idx_.idxu_block[std::size_t(j)];
-    for (int mb = 0; mb <= j; ++mb)
-      utot_r_[std::size_t(base + mb * (j + 1) + mb)] = params_.wself;
-  }
-}
-
-void SNA::compute_uarray(double x, double y, double z, double z0, double r) {
-  const double r0inv = 1.0 / std::sqrt(r * r + z0 * z0);
-  const double a_r = r0inv * z0;
-  const double a_i = -r0inv * z;
-  const double b_r = r0inv * y;
-  const double b_i = -r0inv * x;
-  const auto& rootpq = idx_.rootpq;
-
-  ulist_r_[0] = 1.0;
-  ulist_i_[0] = 0.0;
-
-  for (int j = 1; j <= params_.twojmax; ++j) {
-    int jju = idx_.idxu_block[std::size_t(j)];
-    int jjup = idx_.idxu_block[std::size_t(j) - 1];
-
-    for (int mb = 0; 2 * mb <= j; ++mb) {
-      ulist_r_[std::size_t(jju)] = 0.0;
-      ulist_i_[std::size_t(jju)] = 0.0;
-      for (int ma = 0; ma < j; ++ma) {
-        double rpq = rootpq(std::size_t(j - ma), std::size_t(j - mb));
-        const double ur = ulist_r_[std::size_t(jjup)];
-        const double ui = ulist_i_[std::size_t(jjup)];
-        ulist_r_[std::size_t(jju)] += rpq * (a_r * ur + a_i * ui);
-        ulist_i_[std::size_t(jju)] += rpq * (a_r * ui - a_i * ur);
-        rpq = rootpq(std::size_t(ma) + 1, std::size_t(j - mb));
-        ulist_r_[std::size_t(jju) + 1] = -rpq * (b_r * ur + b_i * ui);
-        ulist_i_[std::size_t(jju) + 1] = -rpq * (b_r * ui - b_i * ur);
-        ++jju;
-        ++jjup;
-      }
-      ++jju;
-    }
-
-    // Second half via u(j, j-ma, j-mb) = (-1)^(ma+mb) conj(u(j, ma, mb)).
-    jju = idx_.idxu_block[std::size_t(j)];
-    int jjur = jju + (j + 1) * (j + 1) - 1;
-    int mbpar = 1;
-    for (int mb = 0; 2 * mb <= j; ++mb) {
-      int mapar = mbpar;
-      for (int ma = 0; ma <= j; ++ma) {
-        if (mapar == 1) {
-          ulist_r_[std::size_t(jjur)] = ulist_r_[std::size_t(jju)];
-          ulist_i_[std::size_t(jjur)] = -ulist_i_[std::size_t(jju)];
-        } else {
-          ulist_r_[std::size_t(jjur)] = -ulist_r_[std::size_t(jju)];
-          ulist_i_[std::size_t(jjur)] = ulist_i_[std::size_t(jju)];
-        }
-        mapar = -mapar;
-        ++jju;
-        --jjur;
-      }
-      mbpar = -mbpar;
-    }
-  }
+  u_self_term(idx_, params_.wself, utot_r_.data(), utot_i_.data());
 }
 
 void SNA::add_neighbor_ui(const double dr[3], double r) {
   require(r > 0.0, "add_neighbor_ui: zero distance");
-  const double rscale0 =
-      params_.rfac0 * kPi / (params_.rcut - params_.rmin0);
-  const double theta0 = (r - params_.rmin0) * rscale0;
-  const double z0 = r * std::cos(theta0) / std::sin(theta0);
-
-  compute_uarray(dr[0], dr[1], dr[2], z0, r);
-
-  const double s = sfac(r);
-  for (int k = 0; k < idx_.idxu_max; ++k) {
-    utot_r_[std::size_t(k)] += s * ulist_r_[std::size_t(k)];
-    utot_i_[std::size_t(k)] += s * ulist_i_[std::size_t(k)];
+  double z0;
+  cayley_klein(params_.rfac0, params_.rmin0, params_.rcut, r, &z0, nullptr);
+  compute_u_lanes(idx_, dr[0], dr[1], dr[2], z0, r, ulist_r_.data(),
+                  ulist_i_.data());
+  const double s = switching(params_, r);
+  for (std::size_t k = 0; k < ulist_r_.size(); ++k) {
+    utot_r_[k] += s * ulist_r_[k];
+    utot_i_[k] += s * ulist_i_[k];
   }
 }
 
 void SNA::compute_zi() {
-  for (int jjz = 0; jjz < idx_.idxz_max; ++jjz) {
-    const auto& e = idx_.idxz[std::size_t(jjz)];
-    const double* cgblock = idx_.cglist.data() + idx_.cg_offset(e.j1, e.j2, e.j);
-
-    double ztmp_r = 0.0, ztmp_i = 0.0;
-    int jju1 = idx_.idxu_block[std::size_t(e.j1)] + (e.j1 + 1) * e.mb1min;
-    int jju2 = idx_.idxu_block[std::size_t(e.j2)] + (e.j2 + 1) * e.mb2max;
-    int icgb = e.mb1min * (e.j2 + 1) + e.mb2max;
-    for (int ib = 0; ib < e.nb; ++ib) {
-      double suma1_r = 0.0, suma1_i = 0.0;
-      int ma1 = e.ma1min;
-      int ma2 = e.ma2max;
-      int icga = e.ma1min * (e.j2 + 1) + e.ma2max;
-      for (int ia = 0; ia < e.na; ++ia) {
-        const double u1r = utot_r_[std::size_t(jju1 + ma1)];
-        const double u1i = utot_i_[std::size_t(jju1 + ma1)];
-        const double u2r = utot_r_[std::size_t(jju2 + ma2)];
-        const double u2i = utot_i_[std::size_t(jju2 + ma2)];
-        const double cga = cgblock[icga];
-        suma1_r += cga * (u1r * u2r - u1i * u2i);
-        suma1_i += cga * (u1r * u2i + u1i * u2r);
-        ++ma1;
-        --ma2;
-        icga += e.j2;
-      }
-      ztmp_r += cgblock[icgb] * suma1_r;
-      ztmp_i += cgblock[icgb] * suma1_i;
-      jju1 += e.j1 + 1;
-      jju2 -= e.j2 + 1;
-      icgb += e.j2;
-    }
-    zlist_r_[std::size_t(jjz)] = ztmp_r;
-    zlist_i_[std::size_t(jjz)] = ztmp_i;
-  }
+  for (int jjz = 0; jjz < idx_.idxz_max; ++jjz)
+    compute_z_entry(idx_, idx_.idxz[std::size_t(jjz)], utot_r_.data(),
+                    utot_i_.data(), &zlist_r_[std::size_t(jjz)],
+                    &zlist_i_[std::size_t(jjz)]);
 }
 
 void SNA::compute_bi() {
-  for (int jjb = 0; jjb < idx_.idxb_max; ++jjb) {
-    const auto& t = idx_.idxb[std::size_t(jjb)];
-    int jjz = idx_.z_block(t.j1, t.j2, t.j);
-    int jju = idx_.idxu_block[std::size_t(t.j)];
-    double sumzu = 0.0;
-    for (int mb = 0; 2 * mb < t.j; ++mb)
-      for (int ma = 0; ma <= t.j; ++ma) {
-        sumzu += utot_r_[std::size_t(jju)] * zlist_r_[std::size_t(jjz)] +
-                 utot_i_[std::size_t(jju)] * zlist_i_[std::size_t(jjz)];
-        ++jjz;
-        ++jju;
-      }
-    if (t.j % 2 == 0) {  // contribution of the middle row, halved diagonal
-      const int mb = t.j / 2;
-      for (int ma = 0; ma < mb; ++ma) {
-        sumzu += utot_r_[std::size_t(jju)] * zlist_r_[std::size_t(jjz)] +
-                 utot_i_[std::size_t(jju)] * zlist_i_[std::size_t(jjz)];
-        ++jjz;
-        ++jju;
-      }
-      sumzu += 0.5 * (utot_r_[std::size_t(jju)] * zlist_r_[std::size_t(jjz)] +
-                      utot_i_[std::size_t(jju)] * zlist_i_[std::size_t(jjz)]);
-    }
-    blist_[std::size_t(jjb)] = 2.0 * sumzu;
-  }
+  for (int jjb = 0; jjb < idx_.idxb_max; ++jjb)
+    blist_[std::size_t(jjb)] = compute_b_entry(
+        idx_, idx_.idxb[std::size_t(jjb)], utot_r_.data(), utot_i_.data(),
+        zlist_r_.data(), zlist_i_.data());
 }
 
 void SNA::compute_yi(const double* beta) {
   std::fill(ylist_r_.begin(), ylist_r_.end(), 0.0);
   std::fill(ylist_i_.begin(), ylist_i_.end(), 0.0);
-
-  for (int jjz = 0; jjz < idx_.idxz_max; ++jjz) {
-    const auto& e = idx_.idxz[std::size_t(jjz)];
-    const double* cgblock = idx_.cglist.data() + idx_.cg_offset(e.j1, e.j2, e.j);
-
-    double ztmp_r = 0.0, ztmp_i = 0.0;
-    int jju1 = idx_.idxu_block[std::size_t(e.j1)] + (e.j1 + 1) * e.mb1min;
-    int jju2 = idx_.idxu_block[std::size_t(e.j2)] + (e.j2 + 1) * e.mb2max;
-    int icgb = e.mb1min * (e.j2 + 1) + e.mb2max;
-    for (int ib = 0; ib < e.nb; ++ib) {
-      double suma1_r = 0.0, suma1_i = 0.0;
-      int ma1 = e.ma1min;
-      int ma2 = e.ma2max;
-      int icga = e.ma1min * (e.j2 + 1) + e.ma2max;
-      for (int ia = 0; ia < e.na; ++ia) {
-        const double u1r = utot_r_[std::size_t(jju1 + ma1)];
-        const double u1i = utot_i_[std::size_t(jju1 + ma1)];
-        const double u2r = utot_r_[std::size_t(jju2 + ma2)];
-        const double u2i = utot_i_[std::size_t(jju2 + ma2)];
-        const double cga = cgblock[icga];
-        suma1_r += cga * (u1r * u2r - u1i * u2i);
-        suma1_i += cga * (u1r * u2i + u1i * u2r);
-        ++ma1;
-        --ma2;
-        icga += e.j2;
-      }
-      ztmp_r += cgblock[icgb] * suma1_r;
-      ztmp_i += cgblock[icgb] * suma1_i;
-      jju1 += e.j1 + 1;
-      jju2 -= e.j2 + 1;
-      icgb += e.j2;
-    }
-
-    // Symmetry-weighted beta pickup: each stored B triple represents up to
-    // three (j1,j2,j) permutations; weights pre-resolved at index build.
-    const double betaj = beta[e.jjb] * e.beta_fac;
-
-    ylist_r_[std::size_t(e.jju)] += betaj * ztmp_r;
-    ylist_i_[std::size_t(e.jju)] += betaj * ztmp_i;
-  }
-}
-
-void SNA::compute_duarray(double x, double y, double z, double z0, double r,
-                          double dz0dr) {
-  const double rinv = 1.0 / r;
-  const double ux = x * rinv, uy = y * rinv, uz = z * rinv;
-  const double r0inv = 1.0 / std::sqrt(r * r + z0 * z0);
-  const double a_r = z0 * r0inv;
-  const double a_i = -z * r0inv;
-  const double b_r = y * r0inv;
-  const double b_i = -x * r0inv;
-  const double dr0invdr = -r0inv * r0inv * r0inv * (r + z0 * dz0dr);
-
-  const double dr0inv[3] = {dr0invdr * ux, dr0invdr * uy, dr0invdr * uz};
-  const double dz0[3] = {dz0dr * ux, dz0dr * uy, dz0dr * uz};
-
-  double da_r[3], da_i[3], db_r[3], db_i[3];
-  for (int k = 0; k < 3; ++k) {
-    da_r[k] = dz0[k] * r0inv + z0 * dr0inv[k];
-    da_i[k] = -z * dr0inv[k];
-    db_r[k] = y * dr0inv[k];
-    db_i[k] = -x * dr0inv[k];
-  }
-  da_i[2] += -r0inv;
-  db_r[1] += r0inv;
-  db_i[0] += -r0inv;
-
-  // Simultaneous U and dU recursion (product rule on the U recursion).
-  ulist_r_[0] = 1.0;
-  ulist_i_[0] = 0.0;
-  for (int k = 0; k < 3; ++k) {
-    dulist_r_[k][0] = 0.0;
-    dulist_i_[k][0] = 0.0;
-  }
-  const auto& rootpq = idx_.rootpq;
-
-  for (int j = 1; j <= params_.twojmax; ++j) {
-    int jju = idx_.idxu_block[std::size_t(j)];
-    int jjup = idx_.idxu_block[std::size_t(j) - 1];
-    for (int mb = 0; 2 * mb <= j; ++mb) {
-      ulist_r_[std::size_t(jju)] = 0.0;
-      ulist_i_[std::size_t(jju)] = 0.0;
-      for (int k = 0; k < 3; ++k) {
-        dulist_r_[k][std::size_t(jju)] = 0.0;
-        dulist_i_[k][std::size_t(jju)] = 0.0;
-      }
-      for (int ma = 0; ma < j; ++ma) {
-        const double ur = ulist_r_[std::size_t(jjup)];
-        const double ui = ulist_i_[std::size_t(jjup)];
-        double rpq = rootpq(std::size_t(j - ma), std::size_t(j - mb));
-        ulist_r_[std::size_t(jju)] += rpq * (a_r * ur + a_i * ui);
-        ulist_i_[std::size_t(jju)] += rpq * (a_r * ui - a_i * ur);
-        for (int k = 0; k < 3; ++k) {
-          const double dur = dulist_r_[k][std::size_t(jjup)];
-          const double dui = dulist_i_[k][std::size_t(jjup)];
-          dulist_r_[k][std::size_t(jju)] +=
-              rpq * (da_r[k] * ur + da_i[k] * ui + a_r * dur + a_i * dui);
-          dulist_i_[k][std::size_t(jju)] +=
-              rpq * (da_r[k] * ui - da_i[k] * ur + a_r * dui - a_i * dur);
-        }
-        rpq = rootpq(std::size_t(ma) + 1, std::size_t(j - mb));
-        ulist_r_[std::size_t(jju) + 1] = -rpq * (b_r * ur + b_i * ui);
-        ulist_i_[std::size_t(jju) + 1] = -rpq * (b_r * ui - b_i * ur);
-        for (int k = 0; k < 3; ++k) {
-          const double dur = dulist_r_[k][std::size_t(jjup)];
-          const double dui = dulist_i_[k][std::size_t(jjup)];
-          dulist_r_[k][std::size_t(jju) + 1] =
-              -rpq * (db_r[k] * ur + db_i[k] * ui + b_r * dur + b_i * dui);
-          dulist_i_[k][std::size_t(jju) + 1] =
-              -rpq * (db_r[k] * ui - db_i[k] * ur + b_r * dui - b_i * dur);
-        }
-        ++jju;
-        ++jjup;
-      }
-      ++jju;
-    }
-    // Symmetry fill (same parity pattern as U).
-    jju = idx_.idxu_block[std::size_t(j)];
-    int jjur = jju + (j + 1) * (j + 1) - 1;
-    int mbpar = 1;
-    for (int mb = 0; 2 * mb <= j; ++mb) {
-      int mapar = mbpar;
-      for (int ma = 0; ma <= j; ++ma) {
-        if (mapar == 1) {
-          ulist_r_[std::size_t(jjur)] = ulist_r_[std::size_t(jju)];
-          ulist_i_[std::size_t(jjur)] = -ulist_i_[std::size_t(jju)];
-          for (int k = 0; k < 3; ++k) {
-            dulist_r_[k][std::size_t(jjur)] = dulist_r_[k][std::size_t(jju)];
-            dulist_i_[k][std::size_t(jjur)] = -dulist_i_[k][std::size_t(jju)];
-          }
-        } else {
-          ulist_r_[std::size_t(jjur)] = -ulist_r_[std::size_t(jju)];
-          ulist_i_[std::size_t(jjur)] = ulist_i_[std::size_t(jju)];
-          for (int k = 0; k < 3; ++k) {
-            dulist_r_[k][std::size_t(jjur)] = -dulist_r_[k][std::size_t(jju)];
-            dulist_i_[k][std::size_t(jjur)] = dulist_i_[k][std::size_t(jju)];
-          }
-        }
-        mapar = -mapar;
-        ++jju;
-        --jjur;
-      }
-      mbpar = -mbpar;
-    }
-  }
-
-  // Chain in the switching function: d(sfac*u)/dr_k.
-  const double s = sfac(r);
-  const double ds = dsfac(r);
-  const double u3[3] = {ux, uy, uz};
-  for (int idx = 0; idx < idx_.idxu_max; ++idx)
-    for (int k = 0; k < 3; ++k) {
-      dulist_r_[k][std::size_t(idx)] =
-          ds * ulist_r_[std::size_t(idx)] * u3[k] +
-          s * dulist_r_[k][std::size_t(idx)];
-      dulist_i_[k][std::size_t(idx)] =
-          ds * ulist_i_[std::size_t(idx)] * u3[k] +
-          s * dulist_i_[k][std::size_t(idx)];
-    }
+  for (const auto& e : idx_.idxz)
+    add_y_entry(idx_, e, beta, utot_r_.data(), utot_i_.data(),
+                ylist_r_.data(), ylist_i_.data());
 }
 
 void SNA::compute_dedr(const double dr[3], double r, double f[3]) {
-  const double rscale0 =
-      params_.rfac0 * kPi / (params_.rcut - params_.rmin0);
-  const double theta0 = (r - params_.rmin0) * rscale0;
-  const double cs = std::cos(theta0), sn = std::sin(theta0);
-  const double z0 = r * cs / sn;
-  const double dz0dr = z0 / r - (r * rscale0) * (r * r + z0 * z0) / (r * r);
-
-  compute_duarray(dr[0], dr[1], dr[2], z0, r, dz0dr);
-
-  for (int k = 0; k < 3; ++k) f[k] = 0.0;
-  for (int j = 0; j <= params_.twojmax; ++j) {
-    int jju = idx_.idxu_block[std::size_t(j)];
-    for (int mb = 0; 2 * mb < j; ++mb)
-      for (int ma = 0; ma <= j; ++ma) {
-        for (int k = 0; k < 3; ++k)
-          f[k] += dulist_r_[k][std::size_t(jju)] * ylist_r_[std::size_t(jju)] +
-                  dulist_i_[k][std::size_t(jju)] * ylist_i_[std::size_t(jju)];
-        ++jju;
-      }
-    if (j % 2 == 0) {
-      const int mb = j / 2;
-      for (int ma = 0; ma < mb; ++ma) {
-        for (int k = 0; k < 3; ++k)
-          f[k] += dulist_r_[k][std::size_t(jju)] * ylist_r_[std::size_t(jju)] +
-                  dulist_i_[k][std::size_t(jju)] * ylist_i_[std::size_t(jju)];
-        ++jju;
-      }
-      for (int k = 0; k < 3; ++k)
-        f[k] += 0.5 *
-                (dulist_r_[k][std::size_t(jju)] * ylist_r_[std::size_t(jju)] +
-                 dulist_i_[k][std::size_t(jju)] * ylist_i_[std::size_t(jju)]);
-    }
+  double z0, dz0dr;
+  cayley_klein(params_.rfac0, params_.rmin0, params_.rcut, r, &z0, &dz0dr);
+  double* dur[3];
+  double* dui[3];
+  for (int k = 0; k < 3; ++k) {
+    dur[k] = dulist_r_[k].data();
+    dui[k] = dulist_i_[k].data();
   }
-  for (int k = 0; k < 3; ++k) f[k] *= 2.0;
+  compute_du_lanes(idx_, dr[0], dr[1], dr[2], z0, r, dz0dr, ulist_r_.data(),
+                   ulist_i_.data(), dur, dui);
+  snap::compute_dedr(idx_, ulist_r_.data(), ulist_i_.data(), dur, dui, dr[0],
+                     dr[1], dr[2], r, switching(params_, r),
+                     dswitching(params_, r), ylist_r_.data(),
+                     ylist_i_.data(), f);
 }
 
 std::vector<double> synthetic_beta(int ncoeff, int seed, double scale) {

@@ -1,33 +1,25 @@
 // SNA — the SNAP bispectrum calculator (§4.3; Thompson et al. 2015).
 //
-// This is the serial, per-atom host implementation the paper describes as
-// the "initial, non-Kokkos CPU implementation": one set of staging arrays
-// *without* an atom index, reused across outer-loop iterations. The Kokkos
-// implementation (sna_kernels.hpp) re-derives the same math with per-atom
-// data structures and device data layouts.
+// This is the serial, per-atom host pipeline the paper describes as the
+// "initial, non-Kokkos CPU implementation": one set of staging arrays
+// *without* an atom index, reused across outer-loop iterations. Its formulas
+// and summation orders are the sna_recursion.hpp templates at T = double,
+// which the Kokkos kernels (sna_kernels.hpp) run at lane width W over
+// per-atom data structures and device data layouts; on one pool participant
+// the kernels reproduce it bitwise, so it is their reference.
 //
 // Pipeline per atom i (paper's four steps):
-//   1. compute_ui      — Wigner U recursion per neighbor, accumulated U_j(i)
+//   1. zero_ui, add_neighbor_ui — self term, then each neighbor's switched U
 //   2. compute_zi/bi   — triple products (energy path)
 //      compute_yi      — beta-weighted adjoint Y (force path)
-//   3. compute_duidrj  — dU/dr_k per neighbor (recursion with product rule)
-//   4. compute_deidrj  — force contraction Y : dU
+//   3+4. compute_dedr  — dU/dr_k per neighbor contracted with Y
 #pragma once
 
 #include <vector>
 
-#include "snap/clebsch_gordan.hpp"
+#include "snap/sna_recursion.hpp"
 
 namespace mlk::snap {
-
-struct SnaParams {
-  int twojmax = 6;
-  double rcut = 3.0;
-  double rfac0 = 0.99363;
-  double rmin0 = 0.0;
-  double wself = 1.0;
-  bool switch_flag = true;
-};
 
 class SNA {
  public:
@@ -58,18 +50,14 @@ class SNA {
   void compute_dedr(const double dr[3], double r, double f[3]);
 
   // Switching function (public for tests).
-  double sfac(double r) const;
-  double dsfac(double r) const;
+  double sfac(double r) const { return switching(params_, r); }
+  double dsfac(double r) const { return dswitching(params_, r); }
 
   // Direct U access for invariance tests: flattened (j,ma,mb).
   const std::vector<double>& utot_r() const { return utot_r_; }
   const std::vector<double>& utot_i() const { return utot_i_; }
 
  private:
-  void compute_uarray(double x, double y, double z, double z0, double r);
-  void compute_duarray(double x, double y, double z, double z0, double r,
-                       double dz0dr);
-
   SnaParams params_;
   SnaIndexes idx_;
 

@@ -21,23 +21,6 @@ namespace {
 constexpr int W = kk::native_simd_width;
 using pd = kk::simd<double, W>;
 
-double switching(const SnaParams& p, double r) {
-  if (!p.switch_flag) return 1.0;
-  if (r <= p.rmin0) return 1.0;
-  if (r >= p.rcut) return 0.0;
-  const double t = (r - p.rmin0) / (p.rcut - p.rmin0);
-  return 0.5 * (std::cos(t * 3.14159265358979323846) + 1.0);
-}
-
-double dswitching(const SnaParams& p, double r) {
-  if (!p.switch_flag) return 0.0;
-  if (r <= p.rmin0 || r >= p.rcut) return 0.0;
-  const double span = p.rcut - p.rmin0;
-  const double t = (r - p.rmin0) / span;
-  return -0.5 * 3.14159265358979323846 / span *
-         std::sin(t * 3.14159265358979323846);
-}
-
 /// Staged neighbors jj0..jj0+W-1 of atom i, one per lane, with their
 /// Cayley-Klein z0 (and dz0/dr). Lanes past the row's n neighbors repeat its
 /// last one: they compute on valid data, and the kernels drop them.
@@ -79,6 +62,19 @@ void load_atom_rows(const V& utr, const V& uti, std::size_t i0,
   }
 }
 
+/// Row i of a 2-D View, indexable like the arrays SNA passes the templates.
+template <class V>
+struct ViewRow {
+  const V& v;
+  std::size_t i;
+  double operator[](int k) const { return v(i, std::size_t(k)); }
+};
+
+template <class V>
+ViewRow<V> row_of(const V& v, std::size_t i) {
+  return {v, i};
+}
+
 }  // namespace
 
 template <class Space>
@@ -101,20 +97,27 @@ void SNAKokkos<Space>::stage_neighbors(Atom& atom, const NeighborList& list) {
   if (nneigh.extent(0) < na) nneigh = kk::View1D<int, Space>("snap::nneigh", na);
   auto nn = nneigh;
 
+  // Calls f(j, dx, dy, dz, rsq) for each neighbor of atom i inside the SNAP
+  // cutoff, in list order.
+  const auto for_each_in_cutoff = [=](std::size_t i, const auto& f) {
+    const int jnum = numneigh(i);
+    for (int jj = 0; jj < jnum; ++jj) {
+      const int j = neigh(i, std::size_t(jj));
+      const double dx = x(std::size_t(j), 0) - x(i, 0);
+      const double dy = x(std::size_t(j), 1) - x(i, 1);
+      const double dz = x(std::size_t(j), 2) - x(i, 2);
+      const double rsq = dx * dx + dy * dy + dz * dz;
+      if (in_snap_cutoff(rsq, rcutsq)) f(j, dx, dy, dz, rsq);
+    }
+  };
+
   // Count pass (divergent, cheap) -> max reduction for table width.
   kk::parallel_for("SNAP::stage_count",
                    kk::RangePolicy<Space>(0, std::size_t(natom)),
                    [=](std::size_t i) {
                      int c = 0;
-                     const int jnum = numneigh(i);
-                     for (int jj = 0; jj < jnum; ++jj) {
-                       const int j = neigh(i, std::size_t(jj));
-                       const double dx = x(std::size_t(j), 0) - x(i, 0);
-                       const double dy = x(std::size_t(j), 1) - x(i, 1);
-                       const double dz = x(std::size_t(j), 2) - x(i, 2);
-                       const double rsq = dx * dx + dy * dy + dz * dz;
-                       if (rsq < rcutsq && rsq > 1e-20) ++c;
-                     }
+                     for_each_in_cutoff(i, [&](int, double, double, double,
+                                               double) { ++c; });
                      nn(i) = c;
                    });
   int maxn = 1;
@@ -136,26 +139,20 @@ void SNAKokkos<Space>::stage_neighbors(Atom& atom, const NeighborList& list) {
   auto nj = neigh_j;
 
   // Fill pass: compressed per-atom tables (fully convergent afterwards).
-  kk::parallel_for("SNAP::stage_fill",
-                   kk::RangePolicy<Space>(0, std::size_t(natom)),
-                   [=](std::size_t i) {
-                     int c = 0;
-                     const int jnum = numneigh(i);
-                     for (int jj = 0; jj < jnum; ++jj) {
-                       const int j = neigh(i, std::size_t(jj));
-                       const double dx = x(std::size_t(j), 0) - x(i, 0);
-                       const double dy = x(std::size_t(j), 1) - x(i, 1);
-                       const double dz = x(std::size_t(j), 2) - x(i, 2);
-                       const double rsq = dx * dx + dy * dy + dz * dz;
-                       if (rsq >= rcutsq || rsq <= 1e-20) continue;
-                       dr(i, std::size_t(c), 0) = dx;
-                       dr(i, std::size_t(c), 1) = dy;
-                       dr(i, std::size_t(c), 2) = dz;
-                       dr(i, std::size_t(c), 3) = std::sqrt(rsq);
-                       nj(i, std::size_t(c)) = j;
-                       ++c;
-                     }
-                   });
+  kk::parallel_for(
+      "SNAP::stage_fill", kk::RangePolicy<Space>(0, std::size_t(natom)),
+      [=](std::size_t i) {
+        std::size_t c = 0;
+        for_each_in_cutoff(
+            i, [&](int j, double dx, double dy, double dz, double rsq) {
+              dr(i, c, 0) = dx;
+              dr(i, c, 1) = dy;
+              dr(i, c, 2) = dz;
+              dr(i, c, 3) = std::sqrt(rsq);
+              nj(i, c) = j;
+              ++c;
+            });
+      });
 
   if (utot_r.extent(0) < na) {
     const std::size_t iu = std::size_t(idx_.idxu_max);
@@ -174,14 +171,12 @@ void SNAKokkos<Space>::compute_ui() {
   auto uti = utot_i;
   auto dr = neigh_dr;
   auto nn = nneigh;
-  const int batch = std::max(1, ui_batch);
   const int iumax = idx_.idxu_max;
 
-  // One team per atom owns its U row, so the row takes plain adds: the self
-  // term, then the U recursion for W neighbors at a time, one per lane. Each
-  // `batch` of neighbors is summed in order into a local accumulator, which
-  // is added into the row in batch order (Table 2's ComputeUi work
-  // batching), so `ui_batch` sets the rounding.
+  // One team per atom owns its U row, so the row takes plain adds: it starts
+  // from the self term in scratch, the U recursion runs for W neighbors at a
+  // time, one per lane, each neighbor's switched U is added in neighbor
+  // order (SNA's order), and the row is written once.
   const std::size_t scratch =
       std::size_t(iumax) * (2 * sizeof(pd) + 2 * sizeof(double));
   auto policy = kk::TeamPolicy<Space>(std::size_t(natom), 1, W)
@@ -190,38 +185,25 @@ void SNAKokkos<Space>::compute_ui() {
     const std::size_t i = m.league_rank();
     pd* ur = m.team_scratch<pd>(std::size_t(iumax));
     pd* ui = m.team_scratch<pd>(std::size_t(iumax));
-    double* acc_r = m.team_scratch<double>(std::size_t(iumax));
-    double* acc_i = m.team_scratch<double>(std::size_t(iumax));
-
-    for (int k = 0; k < iumax; ++k) {
-      utr(i, std::size_t(k)) = 0.0;
-      uti(i, std::size_t(k)) = 0.0;
-    }
-    for (int j = 0; j <= p.twojmax; ++j) {
-      const int base = idx->idxu_block[std::size_t(j)];
-      for (int mb = 0; mb <= j; ++mb)
-        utr(i, std::size_t(base + mb * (j + 1) + mb)) = p.wself;
-    }
+    double* row_r = m.team_scratch<double>(std::size_t(iumax));
+    double* row_i = m.team_scratch<double>(std::size_t(iumax));
+    u_self_term(*idx, p.wself, row_r, row_i);
 
     const int n = nn(i);
     for (int jj0 = 0; jj0 < n; jj0 += W) {
       const NeighborLanes nb(p, dr, i, jj0, n, false);
       compute_u_lanes(*idx, nb.x, nb.y, nb.z, nb.z0, nb.r, ur, ui);
       for (int l = 0; l < nb.count; ++l) {
-        const int jj = jj0 + l;
         const double s = switching(p, nb.r[l]);
-        if (jj % batch == 0)
-          for (int k = 0; k < iumax; ++k) acc_r[k] = acc_i[k] = 0.0;
         for (int k = 0; k < iumax; ++k) {
-          acc_r[k] += s * ur[k][l];
-          acc_i[k] += s * ui[k][l];
+          row_r[k] += s * ur[k][l];
+          row_i[k] += s * ui[k][l];
         }
-        if ((jj + 1) % batch == 0 || jj + 1 == n)
-          for (int k = 0; k < iumax; ++k) {
-            utr(i, std::size_t(k)) += acc_r[k];
-            uti(i, std::size_t(k)) += acc_i[k];
-          }
       }
+    }
+    for (int k = 0; k < iumax; ++k) {
+      utr(i, std::size_t(k)) = row_r[k];
+      uti(i, std::size_t(k)) = row_i[k];
     }
   });
 }
@@ -267,39 +249,20 @@ double SNAKokkos<Space>::compute_zi_bi_energy(const double* beta) {
     }
   });
 
-  // B + energy reduction.
+  // B, and the energy summed per atom and then over atoms (SNA's order).
   double energy = 0.0;
   kk::parallel_reduce(
       "SNAP::ComputeBi", kk::RangePolicy<Space>(0, std::size_t(natom)),
       [=](std::size_t i, double& esum) {
+        double ei = 0.0;
         for (int jjb = 0; jjb < idx->idxb_max; ++jjb) {
-          const auto& t = idx->idxb[std::size_t(jjb)];
-          int jjz = idx->z_block(t.j1, t.j2, t.j);
-          int jju = idx->idxu_block[std::size_t(t.j)];
-          double sumzu = 0.0;
-          for (int mb = 0; 2 * mb < t.j; ++mb)
-            for (int ma = 0; ma <= t.j; ++ma) {
-              sumzu += utr(i, std::size_t(jju)) * zr(i, std::size_t(jjz)) +
-                       uti(i, std::size_t(jju)) * zi(i, std::size_t(jjz));
-              ++jjz;
-              ++jju;
-            }
-          if (t.j % 2 == 0) {
-            const int mb = t.j / 2;
-            for (int ma = 0; ma < mb; ++ma) {
-              sumzu += utr(i, std::size_t(jju)) * zr(i, std::size_t(jjz)) +
-                       uti(i, std::size_t(jju)) * zi(i, std::size_t(jjz));
-              ++jjz;
-              ++jju;
-            }
-            sumzu +=
-                0.5 * (utr(i, std::size_t(jju)) * zr(i, std::size_t(jjz)) +
-                       uti(i, std::size_t(jju)) * zi(i, std::size_t(jjz)));
-          }
-          const double b = 2.0 * sumzu;
+          const double b = compute_b_entry(
+              *idx, idx->idxb[std::size_t(jjb)], row_of(utr, i),
+              row_of(uti, i), row_of(zr, i), row_of(zi, i));
           bl(i, std::size_t(jjb)) = b;
-          esum += beta[jjb] * b;
+          ei += beta[jjb] * b;
         }
+        esum += ei;
       },
       energy);
   return energy;
@@ -329,14 +292,8 @@ void SNAKokkos<Space>::compute_yi(const double* beta) {
     pd* y_i = m.team_scratch<pd>(std::size_t(iumax));
     load_atom_rows(utr, uti, i0, na_sz, iumax, ur, ui);
     for (int k = 0; k < iumax; ++k) y_r[k] = y_i[k] = pd(0.0);
-    for (int jjz = 0; jjz < idx->idxz_max; ++jjz) {
-      const auto& e = idx->idxz[std::size_t(jjz)];
-      pd z_r, z_i;
-      compute_z_entry(*idx, e, ur, ui, &z_r, &z_i);
-      const double betaj = beta[e.jjb] * e.beta_fac;
-      y_r[e.jju] += betaj * z_r;
-      y_i[e.jju] += betaj * z_i;
-    }
+    for (const auto& e : idx->idxz)
+      add_y_entry(*idx, e, beta, ur, ui, y_r, y_i);
     for (int l = 0; l < nlane; ++l)
       for (int k = 0; k < iumax; ++k) {
         yr(i0 + std::size_t(l), std::size_t(k)) = y_r[k][l];
@@ -394,12 +351,10 @@ void SNAKokkos<Space>::compute_fused_deidrj(Atom& atom, double virial_out[6]) {
           s[l] = switching(p, nb.r[l]);
           ds[l] = dswitching(p, nb.r[l]);
         }
-        const pd u3[3] = {nb.x / nb.r, nb.y / nb.r, nb.z / nb.r};
         pd fij[3];
-        compute_dedr(
-            *idx, ur, ui, dur, dui, pd::load(s), pd::load(ds), u3,
-            [&](int jju) { return yr(i, std::size_t(jju)); },
-            [&](int jju) { return yi(i, std::size_t(jju)); }, fij);
+        compute_dedr(*idx, ur, ui, dur, dui, nb.x, nb.y, nb.z, nb.r,
+                     pd::load(s), pd::load(ds), row_of(yr, i), row_of(yi, i),
+                     fij);
 
         for (int l = 0; l < nb.count; ++l) {
           const double fl[3] = {fij[0][l], fij[1][l], fij[2][l]};

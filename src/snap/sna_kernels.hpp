@@ -5,16 +5,19 @@
 // Device the atom index is fastest (coalescing), on the Host the quantum
 // number index is fastest (cache lines), exactly §4.3.1.
 //
-// Every stage is one lane kernel at the native kk::simd width W. Each lane
-// replays the scalar operation sequence of the sna_recursion.hpp templates,
-// so results are bitwise those of a one-lane evaluation
-// (docs/VECTORIZATION.md). Lane buffers live in team scratch (§4.4
+// Every stage is one lane kernel at the native kk::simd width W over the
+// sna_recursion.hpp templates, the formulas the SNA reference runs at
+// T = double. Each lane replays the scalar operation sequence, so results are
+// bitwise those of a one-lane evaluation (docs/VECTORIZATION.md), and every
+// sum (neighbors into U, Z into Y, B into the energy, forces and virial)
+// runs in SNA's order, so on one pool participant forces, energy and virial
+// are bitwise SNA's. Lane buffers live in team scratch (§4.4
 // software-managed cache).
 //   ComputeUi          — one team per atom, owning its U_tot row (no
-//                        atomics): the self term, then the U recursion with
-//                        lanes over W neighbors. Each `ui_batch` neighbors
-//                        are summed in order and added into the row in batch
-//                        order (Table 2's ComputeUi work batching).
+//                        atomics): the row starts from the self term in
+//                        scratch, the U recursion runs with lanes over W
+//                        neighbors, each neighbor's switched U is added in
+//                        neighbor order, and the row is written once.
 //   ComputeZi/Bi       — energy path. Zi: one team per block of W atoms,
 //                        lanes over atoms (§4.3.2's batching axis); Bi: per
 //                        atom.
@@ -31,7 +34,7 @@
 #include "engine/neighbor.hpp"
 #include "kokkos/core.hpp"
 #include "kokkos/team.hpp"
-#include "snap/sna.hpp"
+#include "snap/sna_recursion.hpp"
 
 namespace mlk::snap {
 
@@ -42,9 +45,6 @@ class SNAKokkos {
 
   const SnaIndexes& idx() const { return idx_; }
   int ncoeff() const { return idx_.idxb_max; }
-
-  // Table 2's work-batching knob: neighbors summed per add into U_tot.
-  int ui_batch = 4;
 
   /// Stage neighbor data for nlocal atoms from an engine neighbor list
   /// (full style) — positions must be current in this Space.

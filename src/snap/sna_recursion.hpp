@@ -1,14 +1,19 @@
-// Lane-generic SNAP recursions, the bodies of the SNAKokkos kernels (which
-// stage their buffers in team scratch — the software-managed cache of §4.4).
+// One definition of every SNAP formula (§4.3), shared by the host SNA
+// reference (sna.hpp), compute snap/bispectrum and the SNAKokkos kernels
+// (sna_kernels.hpp, which stage their buffers in team scratch — the
+// software-managed cache of §4.4).
 //
-// Each function is one template over the value type T. `double` evaluates
-// one neighbor (or atom); `kk::simd<double, W>` evaluates W at once, lane l
-// holding the l-th. Every T operation is lanewise IEEE math in the scalar
-// source order and the per-entry constants (rootpq, Clebsch-Gordan, Y)
-// broadcast, so lane l of the pack instantiation is bitwise the `double`
-// instantiation on lane l's inputs (docs/VECTORIZATION.md). The kernels run
-// the pack instantiation; the `double` one is the reference the tests hold
-// each lane to.
+// The recursions are templates over the value type T. `double` evaluates one
+// neighbor (or atom), and SNA runs that instantiation; `kk::simd<double, W>`
+// evaluates W at once, lane l holding the l-th. Every T operation is lanewise
+// IEEE math in the scalar source order and the per-entry constants (rootpq,
+// Clebsch-Gordan, Y) broadcast, so lane l of the pack instantiation is bitwise
+// the `double` instantiation on lane l's inputs (docs/VECTORIZATION.md). The
+// sums over neighbors, entries and atoms run in one order on both sides too,
+// so on one pool participant the kernels compute bitwise what SNA computes.
+//
+// Row arguments (U, Z and Y rows) are anything indexable with [int]: a plain
+// pointer in SNA, a View row in the kernels.
 #pragma once
 
 #include <cmath>
@@ -18,6 +23,40 @@
 
 namespace mlk::snap {
 
+struct SnaParams {
+  int twojmax = 6;
+  double rcut = 3.0;
+  double rfac0 = 0.99363;
+  double rmin0 = 0.0;
+  double wself = 1.0;
+  bool switch_flag = true;
+};
+
+/// Whether a neighbor at squared distance rsq enters an atom's SNAP sums:
+/// inside the cutoff and not on top of the atom.
+inline bool in_snap_cutoff(double rsq, double rcutsq) {
+  return rsq < rcutsq && rsq >= 1e-20;
+}
+
+/// Switching function f_c(r): 1 inside rmin0, a half cosine down to 0 at rcut.
+inline double switching(const SnaParams& p, double r) {
+  if (!p.switch_flag) return 1.0;
+  if (r <= p.rmin0) return 1.0;
+  if (r >= p.rcut) return 0.0;
+  const double t = (r - p.rmin0) / (p.rcut - p.rmin0);
+  return 0.5 * (std::cos(t * 3.14159265358979323846) + 1.0);
+}
+
+/// df_c/dr.
+inline double dswitching(const SnaParams& p, double r) {
+  if (!p.switch_flag) return 0.0;
+  if (r <= p.rmin0 || r >= p.rcut) return 0.0;
+  const double span = p.rcut - p.rmin0;
+  const double t = (r - p.rmin0) / span;
+  return -0.5 * 3.14159265358979323846 / span *
+         std::sin(t * 3.14159265358979323846);
+}
+
 /// Cayley-Klein parameters of the hypersphere map for one neighbor.
 inline void cayley_klein(double rfac0, double rmin0, double rcut, double r,
                          double* z0, double* dz0dr) {
@@ -26,6 +65,18 @@ inline void cayley_klein(double rfac0, double rmin0, double rcut, double r,
   const double cs = std::cos(theta0), sn = std::sin(theta0);
   *z0 = r * cs / sn;
   if (dz0dr) *dz0dr = *z0 / r - (r * rscale0) * (r * r + *z0 * *z0) / (r * r);
+}
+
+/// U_tot's starting value, the self term: wself on the diagonal of every j
+/// block, zero elsewhere. Neighbors' switched U rows are then added in
+/// neighbor order.
+inline void u_self_term(const SnaIndexes& idx, double wself, double* ur,
+                        double* ui) {
+  for (int k = 0; k < idx.idxu_max; ++k) ur[k] = ui[k] = 0.0;
+  for (int j = 0; j <= idx.twojmax; ++j) {
+    const int base = idx.idxu_block[std::size_t(j)];
+    for (int mb = 0; mb <= j; ++mb) ur[base + mb * (j + 1) + mb] = wself;
+  }
 }
 
 /// U recursion for one neighbor per lane into ur/ui (idx.idxu_max each).
@@ -223,34 +274,75 @@ inline void compute_z_entry(const SnaIndexes& idx, const SnaIndexes::ZEntry& e,
   *z_i = zi;
 }
 
-/// dE_i/dr_ij for one neighbor per lane: contracts d(sfac*U)/dr with the
-/// atom's Y row over the half-plus-middle-row of each j (weights 1 and 1/2),
-/// in flat jju order. s/ds are the switching function and its derivative,
-/// u3 the unit vector; get_yr/get_yi map jju to the Y row, which every lane
-/// shares (all lanes are neighbors of one atom).
-template <class T, class GetYr, class GetYi>
+/// Adds idxz entry e's beta-weighted Z into the adjoint Y row y_r/y_i at the
+/// entry's U index. Each stored B triple stands for up to three (j1, j2, j)
+/// permutations; beta_fac, resolved at index build, weights them.
+template <class T>
+inline void add_y_entry(const SnaIndexes& idx, const SnaIndexes::ZEntry& e,
+                        const double* beta, const T* ur, const T* ui, T* y_r,
+                        T* y_i) {
+  T z_r, z_i;
+  compute_z_entry(idx, e, ur, ui, &z_r, &z_i);
+  const double betaj = beta[e.jjb] * e.beta_fac;
+  y_r[e.jju] += betaj * z_r;
+  y_i[e.jju] += betaj * z_i;
+}
+
+/// Walks the entries of U block j that the symmetric contractions visit, in
+/// flat order: f(offset into the block, weight) for the rows 2mb < j with
+/// weight 1, then, for even j, the middle row's first half with weight 1
+/// and its center with weight 1/2.
+template <class F>
+inline void for_half_block(int j, const F& f) {
+  int k = 0;
+  for (int mb = 0; 2 * mb < j; ++mb)
+    for (int ma = 0; ma <= j; ++ma) f(k++, 1.0);
+  if (j % 2 == 0) {
+    for (int ma = 0; ma < j / 2; ++ma) f(k++, 1.0);
+    f(k, 0.5);
+  }
+}
+
+/// B for one idxb triple (j1, j2, j) of one atom: 2 Re(U_j : Z_{j1 j2 j})
+/// over the half block of j. ur/ui are the atom's U row, zr/zi its Z row.
+template <class U, class Z>
+inline double compute_b_entry(const SnaIndexes& idx,
+                              const SnaIndexes::BTriple& t, const U& ur,
+                              const U& ui, const Z& zr, const Z& zi) {
+  const int jjz = idx.z_block(t.j1, t.j2, t.j);
+  const int jju = idx.idxu_block[std::size_t(t.j)];
+  double sumzu = 0.0;
+  for_half_block(t.j, [&](int k, double w) {
+    sumzu += w * (ur[jju + k] * zr[jjz + k] + ui[jju + k] * zi[jjz + k]);
+  });
+  return 2.0 * sumzu;
+}
+
+/// dE_i/dr_ij for one neighbor per lane at displacement (x, y, z), distance
+/// r: contracts d(sfac*U)/dr with the atom's Y row yr/yi over the half block
+/// of each j. ur/ui/dur/dui come from compute_du_lanes; s/ds are the
+/// switching function and its derivative at r. Every lane shares the Y row
+/// (all lanes are neighbors of one atom).
+template <class T, class Y>
 inline void compute_dedr(const SnaIndexes& idx, const T* ur, const T* ui,
                          const T* const dur[3], const T* const dui[3],
-                         const T& s, const T& ds, const T u3[3],
-                         const GetYr& get_yr, const GetYi& get_yi, T fij[3]) {
+                         const T& x, const T& y, const T& z, const T& r,
+                         const T& s, const T& ds, const Y& yr, const Y& yi,
+                         T fij[3]) {
+  const T rinv = 1.0 / r;
+  const T u3[3] = {x * rinv, y * rinv, z * rinv};
   for (int k = 0; k < 3; ++k) fij[k] = T(0.0);
-  const auto accum = [&](int jju, double w) {
-    const double y_r = get_yr(jju), y_i = get_yi(jju);
-    for (int k = 0; k < 3; ++k) {
-      const T dre = ds * ur[jju] * u3[k] + s * dur[k][jju];
-      const T dim = ds * ui[jju] * u3[k] + s * dui[k][jju];
-      fij[k] += w * (dre * y_r + dim * y_i);
-    }
-  };
   for (int j = 0; j <= idx.twojmax; ++j) {
-    int jju = idx.idxu_block[std::size_t(j)];
-    for (int mb = 0; 2 * mb < j; ++mb)
-      for (int ma = 0; ma <= j; ++ma) accum(jju++, 1.0);
-    if (j % 2 == 0) {
-      const int mb = j / 2;
-      for (int ma = 0; ma < mb; ++ma) accum(jju++, 1.0);
-      accum(jju, 0.5);
-    }
+    const int base = idx.idxu_block[std::size_t(j)];
+    for_half_block(j, [&](int off, double w) {
+      const int jju = base + off;
+      const double y_r = yr[jju], y_i = yi[jju];
+      for (int k = 0; k < 3; ++k) {
+        const T dre = ds * ur[jju] * u3[k] + s * dur[k][jju];
+        const T dim = ds * ui[jju] * u3[k] + s * dui[k][jju];
+        fij[k] += w * (dre * y_r + dim * y_i);
+      }
+    });
   }
   for (int k = 0; k < 3; ++k) fij[k] = fij[k] * 2.0;
 }

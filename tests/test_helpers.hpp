@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "kokkos/core.hpp"
 #include "minilammps.hpp"
 
 namespace mlk::testing {
@@ -30,6 +31,20 @@ inline std::unique_ptr<Simulation> make_lj_system(
   in.line("pair_coeff * * 1.0 1.0");
   sim->thermo.print = false;
   return sim;
+}
+
+/// Runs f with every Device launch inside it inline on one pool
+/// participant (a nested dispatch), so atomic adds and reduction partials
+/// land in program order, as on a one-thread pool. Host launches are serial
+/// already.
+template <class Space, class F>
+void on_one_participant(const F& f) {
+  if constexpr (Space::is_device)
+    kk::parallel_for("test::one_participant",
+                     kk::RangePolicy<kk::Device>(0, 1),
+                     [&](std::size_t) { f(); });
+  else
+    f();
 }
 
 /// Total potential energy of the current configuration (rebuilds ghosts,

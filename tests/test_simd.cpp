@@ -20,6 +20,7 @@ namespace {
 
 using pd = kk::simd<double, 4>;
 using pm = kk::simd_mask<4>;
+using testing::on_one_participant;
 
 TEST(SimdPack, BroadcastLoadStoreRoundTrip) {
   const double src[4] = {1.5, -2.0, 3.25, 0.0};
@@ -297,8 +298,6 @@ TEST(SimdSnap, DULanesAndForceContractionBitwiseMatchScalarPerLane) {
     yr[k] = std::cos(0.13 * double(k)) * 0.7;
     yi[k] = std::sin(0.05 * double(k) + 1.0);
   }
-  const auto get_yr = [&](int k) { return yr[std::size_t(k)]; };
-  const auto get_yi = [&](int k) { return yi[std::size_t(k)]; };
   // Switching-function stand-ins: smooth in r, different on every lane.
   const auto sw = [&](double r) { return 1.0 - r / p.rcut; };
   const auto dsw = [&](double r) { return -0.5 * r / p.rcut; };
@@ -315,12 +314,11 @@ TEST(SimdSnap, DULanesAndForceContractionBitwiseMatchScalarPerLane) {
     snap::compute_du_lanes(idx, x, y, z, pack(&Neighbor::z0), r,
                            pack(&Neighbor::dz0dr), pk[0].data(), pk[1].data(),
                            dur_p, dui_p);
-    const pn u3[3] = {x / r, y / r, z / r};
     pn fij[3];
-    snap::compute_dedr(idx, pk[0].data(), pk[1].data(), dur_p, dui_p,
-                       pn::gather([&](int l) { return sw(r[l]); }),
-                       pn::gather([&](int l) { return dsw(r[l]); }), u3,
-                       get_yr, get_yi, fij);
+    snap::compute_dedr(idx, pk[0].data(), pk[1].data(), dur_p, dui_p, x, y, z,
+                       r, pn::gather([&](int l) { return sw(r[l]); }),
+                       pn::gather([&](int l) { return dsw(r[l]); }),
+                       yr.data(), yi.data(), fij);
     for (int l = 0; l < NW; ++l) {
       const Neighbor& q = lane(l);
       snap::compute_du_lanes(idx, q.x, q.y, q.z, q.z0, q.r, q.dz0dr,
@@ -328,10 +326,10 @@ TEST(SimdSnap, DULanesAndForceContractionBitwiseMatchScalarPerLane) {
       for (std::size_t b = 0; b < 8; ++b)
         EXPECT_TRUE(same_bytes(lane_of(pk[b], l), sc[b]))
             << "buffer " << b << " lane " << l;
-      const double u3s[3] = {q.x / q.r, q.y / q.r, q.z / q.r};
       double fs[3];
-      snap::compute_dedr(idx, sc[0].data(), sc[1].data(), dur_s, dui_s,
-                         sw(q.r), dsw(q.r), u3s, get_yr, get_yi, fs);
+      snap::compute_dedr(idx, sc[0].data(), sc[1].data(), dur_s, dui_s, q.x,
+                         q.y, q.z, q.r, sw(q.r), dsw(q.r), yr.data(),
+                         yi.data(), fs);
       for (int k = 0; k < 3; ++k) {
         const double fl = fij[k][l];
         EXPECT_EQ(std::memcmp(&fl, &fs[k], sizeof(double)), 0)
@@ -396,20 +394,6 @@ std::unique_ptr<Simulation> lane_system(NeighStyle style, bool newton,
     numneigh(i) /= 3;
   list.k_numneigh.modify<kk::Host>();
   return sim;
-}
-
-/// Runs f with every Device launch inside it inline on one pool
-/// participant (a nested dispatch), so atomic adds and reduction partials
-/// land in program order, as on a one-thread pool. Host launches are serial
-/// already.
-template <class Space, class F>
-void on_one_participant(const F& f) {
-  if constexpr (Space::is_device)
-    kk::parallel_for("test::one_participant",
-                     kk::RangePolicy<kk::Device>(0, 1),
-                     [&](std::size_t) { f(); });
-  else
-    f();
 }
 
 template <class Space>
